@@ -60,7 +60,7 @@ def solve_p0(tol: float) -> float:
     to the interior root.  The residual at the result is also <= tol
     (the derivative has magnitude < 1 near the root).
     """
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
     target = _SQRT_PI / 2.0
     lo, hi = 1.5, 2.0

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import solve_p0, _khinchin_gamma
-from .forms import MultilinearForm, sup_norm
+from .forms import MultilinearForm, _sign_rows, sup_norm
 from .mixed_norms import ExponentTuple, mixed_norm
 
 #: Exact sign enumeration bound: instances with more vectors are rejected.
@@ -73,7 +73,8 @@ def rademacher_average(vectors, r: float, s: float) -> float:
     """(mean over all 2^n sign patterns of ||sum eps_k x_k||_r^s)^(1/s).
 
     Exact enumeration, vectorized in chunks of sign patterns; n is capped
-    at MAX_ENUM_VECTORS.
+    at MAX_ENUM_VECTORS.  Since ||-v|| = ||v||, the last sign is fixed at
+    +1 and only the 2^(n-1) patterns of the others are enumerated.
     """
     mat = _as_matrix(vectors)
     n = mat.shape[0]
@@ -83,12 +84,12 @@ def rademacher_average(vectors, r: float, s: float) -> float:
         raise ValueError(f"need r >= 1, got {r}")
     if s <= 0.0:
         raise ValueError(f"need s > 0, got {s}")
-    total_patterns = 2 ** n
+    free, last = mat[:-1], mat[-1]
+    total_patterns = 2 ** (n - 1)
     partials = []
     for start in range(0, total_patterns, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total_patterns), dtype=np.int64)
-        signs = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
-        sums = signs @ mat
+        signs = _sign_rows(n - 1, start, min(start + _CHUNK, total_patterns))
+        sums = signs @ free + last
         norms = (np.abs(sums) ** r).sum(axis=1) ** (1.0 / r)
         partials.append(float((norms ** s).sum()))
     return (math.fsum(partials) / total_patterns) ** (1.0 / s)

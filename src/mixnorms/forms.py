@@ -4,11 +4,19 @@ A form of degree m is stored as a dense real coefficient tensor of shape
 ``dims``; evaluating it at vectors x^(1), ..., x^(m) contracts one tensor
 axis per argument.  The sup norm here is the operator norm on c0: the
 supremum of |U(x^(1), ..., x^(m))| over the unit balls of the sup norm.
-For real scalars that supremum is attained at sign vectors (multilinearity
-makes the objective affine in each coordinate), so forms small enough for
-full vertex enumeration get an exact value; larger forms fall back to an
-alternating coordinate-ascent heuristic whose result is still a valid
-lower bound.
+
+For real scalars that supremum is attained at sign vectors, because the
+form is affine in each coordinate.  The maximum over one slot is even
+closed form: it is the l1 norm of the vector left after contracting every
+other slot.  So the exact sup norm takes the largest slot in closed form
+and enumerates the sign vectors of the others, with one sign of each
+fixed, since flipping one argument only flips the sign of the value.  A
+degree-m form needs 2^(sum(dims) - max(dims) - m + 1) sign combinations,
+contracted in blocks of bounded size.  The exact value is used whenever
+the full grid of 2^sum(dims) sign vertices fits the evaluation budget, so
+``exact`` still means that every vertex is covered, and ``evaluations``
+counts the full grid.  Larger forms fall back to an alternating
+coordinate-ascent heuristic whose result is still a valid lower bound.
 
 All user-facing I/O (the JSON form files) uses 1-based indices; the Python
 API is 0-based like the underlying arrays.
@@ -31,6 +39,15 @@ DEFAULT_SUP_BUDGET = 2 ** 22
 ASCENT_RESTARTS = 32
 
 _ASCENT_SEED = 7  # fixed internal seed: sup_norm must be deterministic
+
+#: Elements per contracted block in the exact sup norm.  Peak memory of the
+#: exact path is a few blocks or the form's own size, whichever is larger;
+#: it does not grow with the number of sign vertices or the budget.
+_CHUNK = 1 << 15
+
+#: Slots up to this support size read their sign vectors from a cached
+#: table (the largest is under 2 MiB); larger slots generate each block.
+_TABLE_BITS = 14
 
 
 @dataclass(frozen=True)
@@ -100,22 +117,59 @@ def evaluate(form: MultilinearForm, points: Sequence[Sequence[float]]) -> float:
     return float(val)
 
 
-@lru_cache(maxsize=64)
+def _sign_rows(d: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of the table of all 2**d sign vectors of length
+    d, in which row k has -1 exactly at the set bits of k."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    return 1.0 - 2.0 * ((idx[:, None] >> np.arange(d)) & 1)
+
+
+@lru_cache(maxsize=_TABLE_BITS + 1)
 def _sign_vertices(d: int) -> np.ndarray:
     """All 2**d sign vectors of length d, one per row, in a fixed order."""
-    idx = np.arange(2 ** d, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(d)) & 1
-    out = 1.0 - 2.0 * bits
+    out = _sign_rows(d, 0, 2 ** d)
     out.flags.writeable = False
     return out
 
 
-def _vertex_values(coeffs: np.ndarray) -> np.ndarray:
-    """Form values at every combination of sign vertices (flattened)."""
-    arr = coeffs
-    for axis in range(coeffs.ndim - 1, -1, -1):
-        arr = np.tensordot(arr, _sign_vertices(coeffs.shape[axis]), axes=(axis, 1))
-    return arr.ravel()
+def _max_l1(arr: np.ndarray, dims: tuple[int, ...], j: int) -> float:
+    """Max over the sign vectors of slots j..m-2 of the l1 norm over the
+    last slot, for `arr` of shape (dims[j], ..., dims[-1], P) holding P
+    partial contractions (overwritten when j = m-1).  Each slot runs over
+    the half of its table whose last sign is +1: flipping a whole slot
+    only flips the contracted vector, which keeps its l1 norm."""
+    d = dims[j]
+    flat = arr.reshape(d, -1)
+    if j == len(dims) - 1:
+        # In place: a second block-sized temporary costs more than the sum.
+        return float(np.abs(flat, out=flat).sum(axis=0).max())
+    n = 2 ** (d - 1)
+    step = max(1, _CHUNK // flat.shape[1])
+    best = 0.0
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        signs = _sign_vertices(d)[start:stop] if d <= _TABLE_BITS else _sign_rows(d, start, stop)
+        # Contracting the leading axis keeps the next slot's axis leading
+        # and collects the sign rows at the back.
+        best = max(best, _max_l1(flat.T @ signs.T, dims, j + 1))
+    return best
+
+
+def _exact_sup(coeffs: np.ndarray) -> float:
+    """Exact sup norm over the sign vertices of every slot.
+
+    The largest slot goes last and is maximised in closed form (the l1
+    norm of the contracted vector).  The others are enumerated, largest
+    first, with one sign of each fixed at +1, since U(-x, ...) =
+    -U(x, ...).  A degree-1 form gives the l1 norm of its coefficients.
+    """
+    if coeffs.ndim == 1:
+        return float(np.abs(coeffs).sum())
+    dims = coeffs.shape
+    last = max(range(len(dims)), key=lambda i: (dims[i], i))
+    head = sorted((i for i in range(len(dims)) if i != last), key=lambda i: -dims[i])
+    order = head + [last]
+    return _max_l1(np.transpose(coeffs, order), tuple(dims[i] for i in order), 0)
 
 
 def _slot_gradient(coeffs: np.ndarray, signs: list[np.ndarray], slot: int) -> np.ndarray:
@@ -160,8 +214,10 @@ def sup_norm(form: MultilinearForm, budget: int = DEFAULT_SUP_BUDGET) -> SupNorm
     """Sup norm over the unit balls of c0.
 
     If the full sign-vertex grid fits in `budget` evaluations the maximum
-    is exact; otherwise alternating ascent with random restarts returns a
-    deterministic lower bound flagged exact=False.
+    is exact (computed by `_exact_sup`, which needs only a fraction of the
+    grid; `evaluations` still reports the full grid).  Otherwise
+    alternating ascent with random restarts returns a deterministic lower
+    bound flagged exact=False.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -169,8 +225,7 @@ def sup_norm(form: MultilinearForm, budget: int = DEFAULT_SUP_BUDGET) -> SupNorm
     for d in form.dims:
         n_vertices *= 2 ** d
     if n_vertices <= budget:
-        values = _vertex_values(form.coeffs)
-        return SupNormResult(float(np.max(np.abs(values))), True, n_vertices)
+        return SupNormResult(_exact_sup(form.coeffs), True, n_vertices)
 
     best = 0.0
     used = 0
@@ -258,10 +313,18 @@ def form_from_dict(doc: dict) -> MultilinearForm:
         raise ValueError(f"form document needs degree, dims and entries: {exc}") from exc
     if degree != len(dims):
         raise ValueError(f"degree {degree} does not match {len(dims)} dims")
+    if not isinstance(entries, list):
+        raise ValueError(f"form entries must be a list, got {entries!r}")
     coeffs = np.zeros(dims)
     seen = set()
     for entry in entries:
-        idx = tuple(int(j) for j in entry["index"])
+        try:
+            idx = tuple(int(j) for j in entry["index"])
+            value = float(entry["value"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"form entry {entry!r} needs an integer index list and a numeric value"
+            ) from exc
         if len(idx) != degree:
             raise ValueError(f"index {list(idx)} must have {degree} coordinates")
         if any(j < 1 or j > d for j, d in zip(idx, dims)):
@@ -269,7 +332,7 @@ def form_from_dict(doc: dict) -> MultilinearForm:
         if idx in seen:
             raise ValueError(f"duplicate index {list(idx)}")
         seen.add(idx)
-        coeffs[tuple(j - 1 for j in idx)] = float(entry["value"])
+        coeffs[tuple(j - 1 for j in idx)] = value
     return MultilinearForm(coeffs, label=doc.get("label"))
 
 

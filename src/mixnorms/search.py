@@ -26,15 +26,12 @@ from ._version import VERSION
 from .forms import (
     DEFAULT_SUP_BUDGET,
     MultilinearForm,
-    _vertex_values,
+    _exact_sup,
     lift,
     random_sign_form,
     sup_norm,
 )
 from .mixed_norms import ExponentTuple, _blocked_tensor, _nested_norm_numpy, mixed_norm
-
-#: Vertex-grid affordability bound for exact sup norms inside certificates.
-MAX_EXACT_VERTICES = DEFAULT_SUP_BUDGET
 
 
 @dataclass(frozen=True)
@@ -111,14 +108,18 @@ def certify(
 def _fast_ratio_fn(exps: ExponentTuple) -> Callable[[np.ndarray], float]:
     """Vectorized mixed/sup ratio for the climb loop.
 
-    Returns -inf for the zero form so such moves are never accepted.  The
-    final certificate is always recomputed through the canonical
-    compensated-summation path.
+    The sup norm comes from the same exact kernel as `sup_norm`, which
+    covers every sign vertex: the largest slot in closed form, and for each
+    other slot the half of its sign vectors whose last sign is +1.  With
+    coefficients in {-1, 0, +1} every value it forms is a small integer,
+    so the climb's comparisons are exact.  Returns -inf for the
+    zero form so such moves are never accepted.  The final certificate is
+    always recomputed through the canonical compensated-summation path.
     """
     exponents = exps.exponents
 
     def ratio(coeffs: np.ndarray) -> float:
-        sup = float(np.max(np.abs(_vertex_values(coeffs))))
+        sup = _exact_sup(coeffs)
         if sup == 0.0:
             return -math.inf
         blocked, _ = _blocked_tensor(coeffs, exps)
@@ -228,10 +229,10 @@ def optimize_ratio(
     n_vertices = 1
     for d in dims:
         n_vertices *= 2 ** d
-    if n_vertices > MAX_EXACT_VERTICES:
+    if n_vertices > DEFAULT_SUP_BUDGET:
         raise ValueError(
             f"dims {dims} needs {n_vertices} sign vertices; exact sup norms "
-            f"are affordable only up to {MAX_EXACT_VERTICES}"
+            f"are affordable only up to {DEFAULT_SUP_BUDGET}"
         )
 
     ratio_fn = _fast_ratio_fn(exps)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from mixnorms import load_form
+from mixnorms import load_form, random_sign_form, save_form
 from mixnorms.cli import CommandOutcome, UsageError, main, run
 
 SQRT2 = math.sqrt(2.0)
@@ -156,6 +156,36 @@ def test_malformed_form_file_is_domain_error(tmp_path):
     path.write_text("{not json")
     outcome = run(["norm", "--form", f"@{path}"])
     assert outcome.status == "error"
+
+
+@pytest.mark.parametrize("entry", [
+    {"index": [1, 1]},
+    {"value": 1.0},
+    {"index": [1, 1], "value": "one"},
+    {"index": [1, 1], "value": None},
+    {"index": ["a", 1], "value": 1.0},
+    [1, 1, 1.0],
+])
+def test_malformed_form_entry_is_domain_error(tmp_path, capsys, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"degree": 2, "dims": [2, 2], "entries": [entry]}))
+    assert main(["norm", "--form", f"@{path}"]) == 1
+    assert "error: form entry" in capsys.readouterr().err
+
+
+def test_p0_nan_tolerance_is_domain_error(capsys):
+    assert main(["p0", "--tol", "nan"]) == 1
+    assert "error: tolerance must be positive" in capsys.readouterr().err
+
+
+def test_norm_huge_budget_stays_exact(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    save_form(random_sign_form((20, 20), 0), path)
+    assert main(["norm", "--form", f"@{path}", "--budget", str(2 ** 40), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["exact"] is True
+    assert doc["evaluations"] == 2 ** 40
+    assert doc["value"] == 126.0  # checked by a chunked enumeration in test_forms
 
 
 def test_unknown_flag_raises_usage_error():

@@ -97,6 +97,11 @@ def test_p0_rejects_bad_tolerance():
         solve_p0(0.0)
 
 
+def test_p0_rejects_nan_tolerance():
+    with pytest.raises(ValueError, match="positive"):
+        solve_p0(math.nan)
+
+
 def test_gamma_reference_values():
     assert math.gamma(0.5) == pytest.approx(math.sqrt(math.pi), abs=1e-12)
     assert math.gamma(1.0) == pytest.approx(1.0, abs=1e-12)

@@ -60,6 +60,16 @@ def test_average_matches_oracle_on_random_families():
         )
 
 
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_average_half_enumeration_matches_oracle(n):
+    # n = 1 leaves no free signs: the average is the norm of the one vector
+    vectors = np.random.default_rng(n).normal(size=(n, 3))
+    for r, s in [(1.0, 1.0), (1.5, 2.5), (2.0, 0.5)]:
+        assert rademacher_average(vectors, r, s) == pytest.approx(
+            brute_rademacher(vectors.tolist(), r, s), rel=1e-12
+        )
+
+
 def test_average_rejects_bad_input():
     with pytest.raises(ValueError, match="capped"):
         rademacher_average(np.ones((25, 2)), 2.0, 2.0)

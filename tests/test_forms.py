@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,27 @@ def test_sup_norm_invalid_budget():
         sup_norm(littlewood2(), budget=0)
 
 
+def test_sup_norm_exact_memory_does_not_grow_with_budget():
+    # 2^40 sign vertices, whose full grid would take 8 TiB of values.
+    form = random_sign_form((20, 20), 0)
+    tracemalloc.start()
+    try:
+        res = sup_norm(form, budget=2 ** 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exact
+    assert res.evaluations == 2 ** 40
+    assert peak < 64 * 2 ** 20
+    # independent value: max over x in {-1, 1}^20 of ||x^T A||_1, in chunks
+    expected = 0.0
+    for start in range(0, 2 ** 20, 2 ** 14):
+        idx = np.arange(start, start + 2 ** 14)
+        x = np.where((idx[:, None] >> np.arange(20)) & 1, -1.0, 1.0)
+        expected = max(expected, float(np.abs(x @ form.coeffs).sum(axis=1).max()))
+    assert res.value == expected
+
+
 def test_slot_permutation_preserves_sup():
     form = random_sign_form((2, 3, 4), 3)
     for order in itertools.permutations(range(3)):
@@ -285,6 +307,11 @@ def test_form_dict_bad_index_rejected():
         )
     with pytest.raises(ValueError, match="degree"):
         form_from_dict({"degree": 3, "dims": [2, 2], "entries": []})
+
+
+def test_form_dict_entries_must_be_a_list():
+    with pytest.raises(ValueError, match="list"):
+        form_from_dict({"degree": 1, "dims": [2], "entries": 5})
 
 
 def test_form_to_dict_uses_one_based_indices():
