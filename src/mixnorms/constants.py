@@ -32,6 +32,10 @@ _SQRT_PI = math.sqrt(math.pi)
 #: Branch point of the Khinchin constant formulas, cached at x-tolerance 1e-13.
 _P0_TOL = 1e-13
 
+#: Largest degree `bh_upper_bound` accepts: its recursion takes one step
+#: per degree, about 0.2 s at the cap.
+MAX_BH_DEGREE = 10 ** 5
+
 
 @dataclass(frozen=True)
 class KhinchinValue:
@@ -152,6 +156,8 @@ def bh_upper_bound(m: int) -> float:
     Khinchin recursion C_1 = 1, C_m = A_{(2m-2)/m}^{-1} C_{m-1}."""
     if m < 1:
         raise ValueError(f"degree must be >= 1, got {m}")
+    if m > MAX_BH_DEGREE:
+        raise ValueError(f"degree must be <= {MAX_BH_DEGREE}, got {m}")
     bound = 1.0
     for j in range(2, m + 1):
         bound /= khinchin_A((2.0 * j - 2.0) / j).value

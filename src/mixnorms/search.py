@@ -10,8 +10,12 @@ is unaffordable rather than silently degrading.
 The optimizer hill-climbs over coefficient tensors with entries in
 {-1, 0, +1} - the alphabet the known extremal forms live in, and one that
 keeps vertex enumeration cheap - accepting only strict ratio improvements
-in a fixed first-improvement scan order, with seeded random restarts.  An
-optional final pass does a coordinatewise continuous line search.
+in a fixed first-improvement scan order, with seeded random restarts.  The
+climb scores the single-entry moves in batches from cached sign
+contractions: on this alphabet every cached quantity is a small integer,
+so the updates are exact and each score equals the full ratio bit for bit.
+An optional final pass does a coordinatewise continuous line search, which
+recomputes the full ratio for every trial point.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ from ._version import VERSION
 from .forms import (
     DEFAULT_SUP_BUDGET,
     MultilinearForm,
+    _CHUNK,
     _exact_sup,
+    _sign_rows,
     lift,
     random_sign_form,
     sup_norm,
@@ -106,15 +112,15 @@ def certify(
 
 
 def _fast_ratio_fn(exps: ExponentTuple) -> Callable[[np.ndarray], float]:
-    """Vectorized mixed/sup ratio for the climb loop.
+    """Vectorized mixed/sup ratio of a whole tensor, for the continuous
+    polish; the climb's batched move scores equal it bit for bit.
 
     The sup norm comes from the same exact kernel as `sup_norm`, which
     covers every sign vertex: the largest slot in closed form, and for each
-    other slot the half of its sign vectors whose last sign is +1.  With
-    coefficients in {-1, 0, +1} every value it forms is a small integer,
-    so the climb's comparisons are exact.  Returns -inf for the
-    zero form so such moves are never accepted.  The final certificate is
-    always recomputed through the canonical compensated-summation path.
+    other slot the half of its sign vectors whose last sign is +1.  Returns
+    -inf for the zero form so such moves are never accepted.  The final
+    certificate is always recomputed through the canonical
+    compensated-summation path.
     """
     exponents = exps.exponents
 
@@ -128,35 +134,186 @@ def _fast_ratio_fn(exps: ExponentTuple) -> Callable[[np.ndarray], float]:
     return ratio
 
 
-def _climb(coeffs: np.ndarray, ratio_fn, budget: int) -> tuple[np.ndarray, float, int]:
+#: The two moves of an entry with value v, indexed by v + 1, in ascending
+#: order of the new value: (change of the entry, change of |entry|^q).
+_MOVES = np.array([
+    [[1.0, -1.0], [2.0, 0.0]],  # -1 -> 0, -1 -> +1
+    [[-1.0, 1.0], [1.0, 1.0]],  # 0 -> -1, 0 -> +1
+    [[-2.0, 0.0], [-1.0, -1.0]],  # +1 -> -1, +1 -> 0
+])
+
+
+class _Moves:
+    """Exact scores of the single-entry moves of {-1, 0, +1} tensors on
+    fixed dims under one exponent tuple.
+
+    The sup norm takes the largest slot in closed form, as `_exact_sup`
+    does: with G (P x d_last) the contraction of the coefficients with
+    each of the P sign rows of the other slots (one sign of each fixed),
+    the sup is the largest row l1 norm R of G.  Entry i only feeds column
+    l_i of G, through its Kronecker sign column s_i, so moving it by delta
+    changes G[:, l_i] by delta * s_i and R by the change of |G[:, l_i]|.
+    The nested norm keeps F, the innermost fiber sums of |blocked|^q_last;
+    a move changes one entry of F (none when the entry is off every block
+    diagonal), and the upper levels are recomputed with the ops of
+    `_nested_norm_numpy`.  With coefficients in {-1, 0, +1}, G, R and F
+    hold small integers, so every update is exact and each score equals
+    `_fast_ratio_fn` of the moved tensor bit for bit.
+    """
+
+    def __init__(self, dims: tuple[int, ...], exps: ExponentTuple):
+        m = len(dims)
+        last = max(range(m), key=lambda i: (dims[i], i))
+        head = sorted((i for i in range(m) if i != last), key=lambda i: -dims[i])
+        self.order = head + [last]
+        self.tables = [_sign_rows(dims[i], 0, 2 ** (dims[i] - 1)) for i in head]
+        index = np.indices(dims).reshape(m, -1)
+        self.column = index[last]
+        # Row i of slot_signs[j]: the sign each row of table j gives entry i.
+        self.slot_signs = [t[:, index[i]].T for t, i in zip(self.tables, head)]
+        n_rows = math.prod(len(t) for t in self.tables)
+
+        on = np.ones(index.shape[1], dtype=bool)
+        fiber_index = []
+        fiber_shape = []
+        pos = 0
+        for n, _ in exps.blocks:
+            on &= (index[pos:pos + n] == index[pos]).all(axis=0)
+            fiber_index.append(index[pos])
+            fiber_shape.append(min(dims[pos:pos + n]))
+            pos += n
+        self.fiber_shape = tuple(fiber_shape[:-1])
+        fiber = 0
+        if exps.k > 1:
+            # Off-diagonal entries of a ragged block can index past the
+            # blocked shape; clipping keeps them in range until masked.
+            fiber = np.ravel_multi_index(fiber_index[:-1], self.fiber_shape, mode="clip")
+        self.fiber = np.where(on, fiber, -1)
+        self.fibers = np.arange(math.prod(self.fiber_shape))
+
+        exponents = exps.exponents
+        self.exps = exps
+        self.q_last = exponents[-1]
+        self.level_ratios = [exponents[j - 1] / exponents[j] for j in range(exps.k - 1, 0, -1)]
+        self.root = 1.0 / exponents[0]
+        width = max(n_rows, self.fibers.size)
+        self.block = max(1, _CHUNK // (2 * width))
+
+    def _signs(self, lo: int, hi: int) -> np.ndarray:
+        """Kronecker sign columns s_i of entries lo..hi-1, one per row."""
+        if not self.slot_signs:
+            return np.ones((hi - lo, 1))
+        s = self.slot_signs[0][lo:hi]
+        for t in self.slot_signs[1:]:
+            s = (s[:, :, None] * t[lo:hi, None, :]).reshape(hi - lo, -1)
+        return s
+
+    def _levels(self, inner: np.ndarray) -> np.ndarray:
+        """Upper levels of the nested norm from innermost fiber sums of
+        shape (..., fibers); returns the outermost sums before the root."""
+        out = inner.reshape(inner.shape[:-1] + self.fiber_shape)
+        for r in self.level_ratios:
+            out = (out ** r).sum(axis=-1)
+        return out
+
+    def start(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(G transposed, R, F) of a {-1, 0, +1} tensor."""
+        g = np.transpose(coeffs, self.order).reshape(1, -1)
+        for t in self.tables:
+            # (sign rows so far, this slot, rest) -> (rows so far, rows of this slot, rest)
+            rest = g.shape[1] // t.shape[1]
+            g = np.matmul(t, g.reshape(len(g), t.shape[1], rest)).reshape(-1, rest)
+        blocked, _ = _blocked_tensor(coeffs, self.exps)
+        inner = (np.abs(blocked) ** self.q_last).sum(axis=-1).reshape(-1)
+        return np.ascontiguousarray(g.T), np.abs(g).sum(axis=1), inner
+
+    def ratio(self, sup: float, nested) -> float:
+        """mixed/sup from a sup and the outermost nested sum, as
+        `_fast_ratio_fn` forms it (the scalar power of a numpy float)."""
+        if sup == 0.0:
+            return -math.inf
+        return float(nested ** self.root) / sup
+
+    def base(self, state) -> float:
+        g_t, row_l1, inner = state
+        return self.ratio(float(row_l1.max()), self._levels(inner))
+
+    def score(self, flat: np.ndarray, state, lo: int, hi: int) -> tuple[list, np.ndarray]:
+        """Sups and outermost nested sums of the moves of entries lo..hi-1
+        to their two other values (ascending), each of shape (hi-lo, 2)."""
+        g_t, row_l1, inner = state
+        change = _MOVES[(flat[lo:hi] + 1.0).astype(np.intp)]
+        col = g_t[self.column[lo:hi]]
+        moved = np.abs(col[:, None, :] + change[:, :, 0, None] * self._signs(lo, hi)[:, None, :])
+        sup = (moved + (row_l1 - np.abs(col))[:, None, :]).max(axis=-1)
+        trial = inner + change[:, :, 1, None] * (self.fiber[lo:hi, None, None] == self.fibers)
+        return sup.tolist(), self._levels(trial)
+
+    def move(self, flat: np.ndarray, state, i: int, new: float) -> None:
+        """Set entry i to `new`, updating the state in place."""
+        g_t, row_l1, inner = state
+        old = flat[i]
+        col = g_t[self.column[i]]
+        moved = col + (new - old) * self._signs(i, i + 1)[0]
+        row_l1 += np.abs(moved) - np.abs(col)
+        col[:] = moved
+        if self.fiber[i] >= 0:
+            inner[self.fiber[i]] += abs(new) - abs(old)
+        flat[i] = new
+
+
+def _climb(coeffs: np.ndarray, moves: _Moves, budget: int) -> tuple[np.ndarray, float, int]:
     """First-improvement hill climbing over single entries in {-1, 0, +1}.
 
     Scans entries in C order, trying alternative values in the fixed order
-    (-1, 0, +1); a strictly better ratio is accepted immediately.  Stops
-    at a local optimum or when the evaluation budget runs out.
+    (-1, 0, +1); a strictly better ratio is accepted immediately, and the
+    entry's remaining values are still tried against it.  Stops at a local
+    optimum or when the evaluation budget runs out; each tried value costs
+    one evaluation, and so does the starting ratio.
+
+    The moves are scored in batches of entries by `_Moves`, exactly and
+    bit for bit as `_fast_ratio_fn` would score the moved tensors.  After
+    an acceptance the batch is dropped and scoring resumes at the next
+    entry.  A value equal to the entry's value before its scan scores the
+    ratio the scan started from.
     """
-    current = ratio_fn(coeffs)
+    state = moves.start(coeffs)
+    current = moves.base(state)
     used = 1
     flat = coeffs.ravel()
     improved = True
     while improved and used < budget:
         improved = False
-        for i in range(flat.size):
-            old = flat[i]
-            for candidate in (-1.0, 0.0, 1.0):
-                if candidate == old:
-                    continue
-                if used >= budget:
-                    return coeffs, current, used
-                flat[i] = candidate
-                trial = ratio_fn(coeffs)
-                used += 1
-                if trial > current:
-                    current = trial
-                    old = candidate
+        lo = 0
+        while lo < flat.size:
+            hi = min(flat.size, lo + moves.block)
+            sups, nested = moves.score(flat, state, lo, hi)
+            for i in range(lo, hi):
+                before = current
+                old = new = flat[i]
+                a = 0
+                for candidate in (-1.0, 0.0, 1.0):
+                    if candidate == new:
+                        continue
+                    if used >= budget:
+                        flat[i] = new
+                        return coeffs, current, used
+                    used += 1
+                    if candidate == old:
+                        trial = before
+                    else:
+                        trial = moves.ratio(sups[i - lo][a], nested[i - lo, a])
+                        a += 1
+                    if trial > current:
+                        current = trial
+                        new = candidate
+                if new != old:
+                    moves.move(flat, state, i, new)
                     improved = True
-                else:
-                    flat[i] = old
+                    lo = i + 1
+                    break
+            else:
+                lo = hi
     return coeffs, current, used
 
 
@@ -226,6 +383,8 @@ def optimize_ratio(
         )
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
+    if restarts is not None and restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     n_vertices = 1
     for d in dims:
         n_vertices *= 2 ** d
@@ -235,6 +394,7 @@ def optimize_ratio(
             f"are affordable only up to {DEFAULT_SUP_BUDGET}"
         )
 
+    moves = _Moves(dims, exps)
     ratio_fn = _fast_ratio_fn(exps)
     best_key: tuple[float, int] | None = None
     best_coeffs: np.ndarray | None = None
@@ -242,7 +402,7 @@ def optimize_ratio(
     k = 0
     while used < budget and (restarts is None or k < restarts):
         coeffs = np.array(random_sign_form(dims, seed + k).coeffs)
-        coeffs, ratio, spent = _climb(coeffs, ratio_fn, budget - used)
+        coeffs, ratio, spent = _climb(coeffs, moves, budget - used)
         used += spent
         if refine and used < budget:
             coeffs, ratio, spent = _refine(coeffs, ratio_fn, budget - used)
@@ -253,7 +413,6 @@ def optimize_ratio(
             best_coeffs = coeffs.copy()
         k += 1
 
-    assert best_coeffs is not None  # budget >= 1 guarantees one restart
     found = MultilinearForm(best_coeffs, label=f"optimized{dims}")
     return certify(found, exps, seed=seed, budget=budget)
 
@@ -274,6 +433,8 @@ def growth_witness(
     enter the ratios, so each n must be affordable for full vertex
     enumeration.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rows = []
     for n in n_list:
         e = exps(n) if callable(exps) else exps

@@ -178,6 +178,19 @@ def test_p0_nan_tolerance_is_domain_error(capsys):
     assert "error: tolerance must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--dims", "2,2", "--exps", "1,2", "--restarts", "0"],
+    ["optimize", "--dims", "2,2", "--exps", "1,2", "--restarts", "-3"],
+    ["growth", "--exps", "1,2", "--n-list", "2", "--trials", "0"],
+    ["bh-bound", "--m", "100001"],
+])
+def test_out_of_range_count_is_domain_error(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_norm_huge_budget_stays_exact(tmp_path, capsys):
     path = tmp_path / "big.json"
     save_form(random_sign_form((20, 20), 0), path)

@@ -195,6 +195,18 @@ def test_bh_upper_bound_monotone_and_below_baseline():
         previous = bound
 
 
+def test_bh_upper_bound_caps_the_degree(monkeypatch):
+    from mixnorms import constants
+
+    assert constants.MAX_BH_DEGREE == 10 ** 5
+    with pytest.raises(ValueError, match="degree must be <= 100000"):
+        bh_upper_bound(10 ** 8)  # rejected before the recursion starts
+    monkeypatch.setattr(constants, "MAX_BH_DEGREE", 3)
+    assert bh_upper_bound(3) == pytest.approx(2.0 ** 0.75, abs=1e-12)
+    with pytest.raises(ValueError, match="<= 3, got 4"):
+        bh_upper_bound(4)
+
+
 def test_equivalence_gap_values():
     assert equivalence_gap(2) == pytest.approx(SQRT2, abs=1e-12)
     assert 1.0 < equivalence_gap(100) < 1.01

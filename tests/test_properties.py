@@ -2,8 +2,9 @@
 
 The exact sup norm and the climb's ratio function are checked against the
 brute-force oracles on random dims, with the largest slot (and ties) in
-every position.  Hypothesis runs derandomized with a bounded number of
-examples, so the suite stays deterministic and fast.
+every position, and the climb's batched move scores against the ratio
+function of each moved tensor.  Hypothesis runs derandomized with a
+bounded number of examples, so the suite stays deterministic and fast.
 """
 
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mixnorms import ExponentTuple, MultilinearForm, certify, sup_norm
-from mixnorms.search import _fast_ratio_fn
+from mixnorms.search import _Moves, _climb, _fast_ratio_fn
 
 from _oracles import brute_sup
 
@@ -84,3 +85,109 @@ def test_zero_form():
     assert _fast_ratio_fn(ExponentTuple.parse("1,2"))(zero) == -math.inf
     result = sup_norm(MultilinearForm(zero))
     assert (result.value, result.exact, result.evaluations) == (0.0, True, 32)
+
+
+def _sign_tensor(dims, seed, zeros):
+    """{-1, 0, +1} tensor with about a `zeros` share of zero entries."""
+    rng = np.random.default_rng(seed)
+    return rng.choice([-1.0, 0.0, 1.0], size=dims, p=[(1 - zeros) / 2, zeros, (1 - zeros) / 2])
+
+
+ZEROS = st.sampled_from([0.0, 0.3, 0.9, 1.0])
+
+
+@st.composite
+def _dims_and_tuple(draw):
+    dims = draw(DIMS)
+    return dims, _exponent_tuple(draw, len(dims))
+
+
+@pytest.mark.filterwarnings("ignore::mixnorms.RaggedBlockWarning")
+@PROPERTY
+@given(case=_dims_and_tuple(), seed=SEEDS, zeros=ZEROS)
+@example(case=([2, 2, 2], ExponentTuple.parse("2:1|1:2")), seed=0, zeros=0.9)
+@example(case=([3, 2, 2], ExponentTuple.parse("2:1|1:2")), seed=1, zeros=0.3)  # ragged block
+def test_move_scores_match_ratio_of_moved_tensor(case, seed, zeros):
+    dims, exps = case
+    coeffs = _sign_tensor(dims, seed, zeros)
+    ratio = _fast_ratio_fn(exps)
+    moves = _Moves(tuple(dims), exps)
+    state = moves.start(coeffs)
+    flat = coeffs.ravel()
+    assert moves.base(state) == ratio(coeffs)
+    sups, nested = moves.score(flat, state, 0, flat.size)
+    for i, old in enumerate(flat.tolist()):
+        alternatives = [v for v in (-1.0, 0.0, 1.0) if v != old]
+        for a, value in enumerate(alternatives):
+            moved = coeffs.copy()
+            moved.flat[i] = value
+            assert moves.ratio(sups[i][a], nested[i, a]) == ratio(moved)  # exact, or both -inf
+        part_sups, part_nested = moves.score(flat, state, i // 2, i + 1)
+        assert part_sups == sups[i // 2:i + 1]
+        assert np.array_equal(part_nested, nested[i // 2:i + 1])
+
+
+def test_move_to_the_zero_tensor_scores_minus_inf():
+    coeffs = np.zeros((2, 3))
+    coeffs[1, 2] = -1.0
+    moves = _Moves((2, 3), ExponentTuple.parse("1,2"))
+    sups, nested = moves.score(coeffs.ravel(), moves.start(coeffs), 5, 6)
+    to_zero, to_one = (moves.ratio(sup, n) for sup, n in zip(sups[0], nested[0]))
+    assert (to_zero, to_one) == (-math.inf, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore::mixnorms.RaggedBlockWarning")
+@PROPERTY
+@given(data=st.data(), case=_dims_and_tuple(), seed=SEEDS, zeros=ZEROS)
+def test_applied_moves_keep_the_state_exact(data, case, seed, zeros):
+    dims, exps = case
+    coeffs = _sign_tensor(dims, seed, zeros)
+    moves = _Moves(tuple(dims), exps)
+    state = moves.start(coeffs)
+    flat = coeffs.ravel()
+    for _ in range(data.draw(st.integers(1, 12))):
+        moves.move(flat, state, data.draw(st.integers(0, flat.size - 1)),
+                   data.draw(st.sampled_from([-1.0, 0.0, 1.0])))
+    for kept, fresh in zip(state, moves.start(coeffs)):
+        assert np.array_equal(kept, fresh)
+
+
+def _reference_climb(coeffs, ratio_fn, budget):
+    """The climb written per candidate: every tried value rebuilds the ratio."""
+    current = ratio_fn(coeffs)
+    used = 1
+    flat = coeffs.ravel()
+    improved = True
+    while improved and used < budget:
+        improved = False
+        for i in range(flat.size):
+            old = flat[i]
+            for candidate in (-1.0, 0.0, 1.0):
+                if candidate == old:
+                    continue
+                if used >= budget:
+                    return coeffs, current, used
+                flat[i] = candidate
+                trial = ratio_fn(coeffs)
+                used += 1
+                if trial > current:
+                    current, old, improved = trial, candidate, True
+                else:
+                    flat[i] = old
+    return coeffs, current, used
+
+
+@pytest.mark.filterwarnings("ignore::mixnorms.RaggedBlockWarning")
+@PROPERTY
+@given(case=_dims_and_tuple(), seed=SEEDS, zeros=ZEROS,
+       budget=st.integers(1, 400), block=st.sampled_from([None, 1, 2, 5]))
+def test_climb_follows_the_per_candidate_trajectory(case, seed, zeros, budget, block):
+    dims, exps = case
+    coeffs = _sign_tensor(dims, seed, zeros)
+    moves = _Moves(tuple(dims), exps)
+    if block is not None:
+        moves.block = block  # scoring in small blocks crosses block edges often
+    got = _climb(coeffs.copy(), moves, budget)
+    want = _reference_climb(coeffs.copy(), _fast_ratio_fn(exps), budget)
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]

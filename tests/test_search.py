@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,35 @@ def test_optimize_validates_arguments():
         optimize_ratio((2, 2), ExponentTuple.parse("1,2"), budget=0, seed=0)
     with pytest.raises(ValueError, match="slots"):
         optimize_ratio((2, 2), ExponentTuple.parse("1,2,2"), budget=10, seed=0)
+
+
+@pytest.mark.parametrize("restarts", [0, -3])
+def test_optimize_rejects_fewer_than_one_restart(restarts):
+    with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+        optimize_ratio((2, 2), ExponentTuple.parse("1,2"), budget=10, seed=0, restarts=restarts)
+
+
+def test_growth_rejects_fewer_than_one_trial():
+    with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+        growth_witness(ExponentTuple.parse("1,2"), [2], trials=0, seed=0)
+
+
+@pytest.mark.parametrize("dims, exps", [
+    ((11, 11), "1,2"),
+    ((3,) * 5, "8/5,8/5,8/5,8/5,8/5"),
+    ((2,) * 11, "1,2,2,2,2,2,2,2,2,2,2"),
+])
+def test_optimize_memory_stays_bounded_on_the_largest_dims(dims, exps):
+    # the climb scores moves in blocks of bounded size, so its peak does
+    # not grow with the number of entries times the number of sign rows
+    tracemalloc.start()
+    try:
+        cert = optimize_ratio(dims, ExponentTuple.parse(exps), budget=2_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.sup_exact
+    assert peak < 8 * 2 ** 20
 
 
 def test_optimize_refine_does_not_hurt():
