@@ -18,10 +18,9 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import constants, cotype, forms, mixed_norms, search
-from ._version import VERSION
 from .mixed_norms import ExponentTuple, RaggedBlockWarning, parse_number
 
 
@@ -69,28 +68,107 @@ def _parse_ints(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
+# Subcommand handlers map parsed arguments to payloads.  Payload keys follow
+# the result dataclasses' field order, which is the text output's line order.
+
+def _norm(args) -> dict:
+    form = _resolve_form(args.form)
+    return {"label": form.label, "dims": list(form.dims),
+            **asdict(forms.sup_norm(form, budget=args.budget))}
+
+
+def _mixed(args) -> dict:
+    form = _resolve_form(args.form)
+    exps = ExponentTuple.parse(args.exps)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = mixed_norms.mixed_norm(form, exps)
+    ragged = any(issubclass(w.category, RaggedBlockWarning) for w in caught)
+    return {"label": form.label, "exponents": str(exps), "value": value, "ragged": ragged}
+
+
+def _optimize(args) -> dict:
+    cert = search.optimize_ratio(
+        _parse_ints(args.dims), ExponentTuple.parse(args.exps), budget=args.budget,
+        seed=args.seed, restarts=args.restarts, refine=args.refine,
+    )
+    return cert.to_dict()
+
+
+def _growth(args) -> dict:
+    exps = ExponentTuple.parse(args.exps)
+    rows = search.growth_witness(
+        exps, _parse_ints(args.n_list), trials=args.trials,
+        seed=args.seed, budget_per_n=args.budget,
+    )
+    return {"exponents": str(exps), "rows": [{"n": n, "best_ratio": r} for n, r in rows]}
+
+
+def _interpolate(args) -> dict:
+    tuples = [ExponentTuple.parse(tok) for tok in args.tuples.split(";")]
+    consts = _parse_numbers(args.constants)
+    if args.weights is None:
+        weights = [1.0 / len(tuples)] * len(tuples)
+    else:
+        weights = _parse_numbers(args.weights)
+    res = constants.interpolate(tuples, weights, consts)
+    return {**asdict(res), "exponents": str(res.exponents), "weights": list(res.weights)}
+
+
+def _p0(args) -> dict:
+    value = constants.solve_p0(args.tol)
+    residual = math.gamma((value + 1.0) / 2.0) - math.sqrt(math.pi) / 2.0
+    return {"value": value, "residual": residual, "tol": args.tol}
+
+
+def _cotype_ratio(args) -> dict:
+    if args.instance is not None:
+        inst = cotype.load_instance(args.instance.lstrip("@"))
+    elif args.vectors is not None and args.r is not None:
+        s = args.s if args.s is not None else args.r
+        inst = cotype.make_instance(_parse_vectors(args.vectors), args.r, s)
+    else:
+        raise ValueError("cotype-ratio needs --instance or both --vectors and --r")
+    n, dimension = inst.vectors.shape
+    return {"r": inst.r, "s": inst.s, "n": n, "dimension": dimension,
+            "lhs": inst.lhs, "rhs": inst.rhs, "ratio": inst.ratio}
+
+
+def _catalog(args) -> dict:
+    os.makedirs(args.out, exist_ok=True)
+    written = []
+    for name, factory in sorted(forms.CATALOG.items()):
+        path = os.path.join(args.out, f"{name}.json")
+        forms.save_form(factory(), path)
+        written.append(path)
+    return {"files": written}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mixnorms", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
+        """Subcommand whose handler maps the parsed arguments to a payload."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit one JSON document")
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("norm", "sup norm of a form over the unit balls of c0")
+    p = add("norm", "sup norm of a form over the unit balls of c0", _norm)
     p.add_argument("--form", required=True)
     p.add_argument("--budget", type=int, default=forms.DEFAULT_SUP_BUDGET)
 
-    p = add("mixed", "nested mixed norm of a form")
+    p = add("mixed", "nested mixed norm of a form", _mixed)
     p.add_argument("--form", required=True)
     p.add_argument("--exps", required=True, help="'q1,q2,...' or 'n1:q1|n2:q2|...'")
 
-    p = add("certify", "mixed/sup ratio certificate for a form")
+    p = add("certify", "mixed/sup ratio certificate for a form",
+            lambda a: search.certify(_resolve_form(a.form), ExponentTuple.parse(a.exps)).to_dict())
     p.add_argument("--form", required=True)
     p.add_argument("--exps", required=True)
 
-    p = add("optimize", "hill-climb coefficient tensors for a large ratio")
+    p = add("optimize", "hill-climb coefficient tensors for a large ratio", _optimize)
     p.add_argument("--dims", required=True, help="'d1,d2,...'")
     p.add_argument("--exps", required=True)
     p.add_argument("--budget", type=int, default=10_000)
@@ -98,43 +176,48 @@ def _build_parser() -> _Parser:
     p.add_argument("--restarts", type=int, default=None)
     p.add_argument("--refine", action="store_true")
 
-    p = add("growth", "best ratios over growing support sizes")
+    p = add("growth", "best ratios over growing support sizes", _growth)
     p.add_argument("--exps", required=True)
     p.add_argument("--n-list", required=True, help="'2,3,4'")
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=20_000, help="evaluations per n")
 
-    p = add("interpolate", "interpolate exponent tuples and constants")
+    p = add("interpolate", "interpolate exponent tuples and constants", _interpolate)
     p.add_argument("--tuples", required=True, help="semicolon-separated, e.g. '1,2,2;2,1,2;2,2,1'")
     p.add_argument("--weights", default=None, help="'w1,w2,...' (default: equal)")
     p.add_argument("--constants", required=True, help="'c1,c2,...'")
 
-    p = add("khinchin", "sharp real Khinchin constant A_p")
+    p = add("khinchin", "sharp real Khinchin constant A_p",
+            lambda a: asdict(constants.khinchin_A(a.p)))
     p.add_argument("--p", required=True, type=parse_number)
 
-    p = add("p0", "branch point of the Khinchin constant formulas")
+    p = add("p0", "branch point of the Khinchin constant formulas", _p0)
     p.add_argument("--tol", type=float, default=1e-10)
 
-    p = add("bh-bound", "Khinchin-recursion upper bound for the degree-m constant")
+    p = add("bh-bound", "Khinchin-recursion upper bound for the degree-m constant",
+            lambda a: {"m": a.m, "value": constants.bh_upper_bound(a.m)})
     p.add_argument("--m", required=True, type=int)
 
-    p = add("equiv-gap", "multiplicative width of the degree-lifting sandwich")
+    p = add("equiv-gap", "multiplicative width of the degree-lifting sandwich",
+            lambda a: {"m": a.m, "value": constants.equivalence_gap(a.m)})
     p.add_argument("--m", required=True, type=int)
 
-    p = add("cotype-ratio", "exact cotype-2 ratio of a vector family in l_r")
+    p = add("cotype-ratio", "exact cotype-2 ratio of a vector family in l_r", _cotype_ratio)
     p.add_argument("--instance", default=None, help="JSON instance file ('@' prefix optional)")
     p.add_argument("--vectors", default=None, help="'1,1;1,-1'")
     p.add_argument("--r", type=parse_number, default=None)
     p.add_argument("--s", type=parse_number, default=None, help="default: r")
 
-    p = add("cotype-bounds", "bounds for the cotype-2 constant of l_r")
+    p = add("cotype-bounds", "bounds for the cotype-2 constant of l_r",
+            lambda a: asdict(cotype.cotype_bounds(a.r)))
     p.add_argument("--r", required=True, type=parse_number)
 
-    p = add("catalog", "write the built-in forms to JSON files")
+    p = add("catalog", "write the built-in forms to JSON files", _catalog)
     p.add_argument("--out", default=".")
 
-    p = add("equivalence-demo", "check the degree-lifting norm identity")
+    p = add("equivalence-demo", "check the degree-lifting norm identity",
+            lambda a: asdict(search.equivalence_demo(_resolve_form(a.form), a.m)))
     p.add_argument("--form", required=True)
     p.add_argument("--m", required=True, type=int)
 
@@ -142,144 +225,7 @@ def _build_parser() -> _Parser:
 
 
 def _dispatch(args: argparse.Namespace) -> dict:
-    cmd = args.command
-
-    if cmd == "norm":
-        form = _resolve_form(args.form)
-        res = forms.sup_norm(form, budget=args.budget)
-        return {
-            "command": cmd,
-            "label": form.label,
-            "dims": list(form.dims),
-            "value": res.value,
-            "exact": res.exact,
-            "evaluations": res.evaluations,
-        }
-
-    if cmd == "mixed":
-        form = _resolve_form(args.form)
-        exps = ExponentTuple.parse(args.exps)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = mixed_norms.mixed_norm(form, exps)
-        ragged = any(issubclass(w.category, RaggedBlockWarning) for w in caught)
-        return {
-            "command": cmd,
-            "label": form.label,
-            "exponents": str(exps),
-            "value": value,
-            "ragged": ragged,
-        }
-
-    if cmd == "certify":
-        form = _resolve_form(args.form)
-        exps = ExponentTuple.parse(args.exps)
-        cert = search.certify(form, exps)
-        return {"command": cmd, **cert.to_dict()}
-
-    if cmd == "optimize":
-        dims = _parse_ints(args.dims)
-        exps = ExponentTuple.parse(args.exps)
-        cert = search.optimize_ratio(
-            dims, exps, budget=args.budget, seed=args.seed,
-            restarts=args.restarts, refine=args.refine,
-        )
-        return {"command": cmd, **cert.to_dict()}
-
-    if cmd == "growth":
-        exps = ExponentTuple.parse(args.exps)
-        rows = search.growth_witness(
-            exps, _parse_ints(args.n_list), trials=args.trials,
-            seed=args.seed, budget_per_n=args.budget,
-        )
-        return {
-            "command": cmd,
-            "exponents": str(exps),
-            "rows": [{"n": n, "best_ratio": r} for n, r in rows],
-        }
-
-    if cmd == "interpolate":
-        tuples = [ExponentTuple.parse(tok) for tok in args.tuples.split(";")]
-        consts = _parse_numbers(args.constants)
-        if args.weights is None:
-            weights = [1.0 / len(tuples)] * len(tuples)
-        else:
-            weights = _parse_numbers(args.weights)
-        res = constants.interpolate(tuples, weights, consts)
-        return {
-            "command": cmd,
-            "exponents": str(res.exponents),
-            "constant_bound": res.constant_bound,
-            "weights": list(res.weights),
-        }
-
-    if cmd == "khinchin":
-        val = constants.khinchin_A(args.p)
-        return {"command": cmd, "p": val.p, "value": val.value, "regime": val.regime}
-
-    if cmd == "p0":
-        value = constants.solve_p0(args.tol)
-        residual = math.gamma((value + 1.0) / 2.0) - math.sqrt(math.pi) / 2.0
-        return {"command": cmd, "value": value, "residual": residual, "tol": args.tol}
-
-    if cmd == "bh-bound":
-        return {"command": cmd, "m": args.m, "value": constants.bh_upper_bound(args.m)}
-
-    if cmd == "equiv-gap":
-        return {"command": cmd, "m": args.m, "value": constants.equivalence_gap(args.m)}
-
-    if cmd == "cotype-ratio":
-        if args.instance is not None:
-            path = args.instance.lstrip("@")
-            inst = cotype.load_instance(path)
-        elif args.vectors is not None and args.r is not None:
-            s = args.s if args.s is not None else args.r
-            inst = cotype.make_instance(_parse_vectors(args.vectors), args.r, s)
-        else:
-            raise ValueError("cotype-ratio needs --instance or both --vectors and --r")
-        return {
-            "command": cmd,
-            "r": inst.r,
-            "s": inst.s,
-            "n": int(inst.vectors.shape[0]),
-            "dimension": int(inst.vectors.shape[1]),
-            "lhs": inst.lhs,
-            "rhs": inst.rhs,
-            "ratio": inst.ratio,
-        }
-
-    if cmd == "cotype-bounds":
-        b = cotype.cotype_bounds(args.r)
-        return {
-            "command": cmd, "r": b.r, "lower": b.lower, "upper": b.upper, "sharp": b.sharp,
-        }
-
-    if cmd == "catalog":
-        os.makedirs(args.out, exist_ok=True)
-        written = []
-        for name, factory in sorted(forms.CATALOG.items()):
-            path = os.path.join(args.out, f"{name}.json")
-            forms.save_form(factory(), path)
-            written.append(path)
-        return {"command": cmd, "files": written}
-
-    if cmd == "equivalence-demo":
-        form = _resolve_form(args.form)
-        rep = search.equivalence_demo(form, args.m)
-        return {
-            "command": cmd,
-            "m": rep.m,
-            "exponent": rep.exponent,
-            "mixed_lifted": rep.mixed_lifted,
-            "mixed_base": rep.mixed_base,
-            "sup_lifted": rep.sup_lifted,
-            "sup_base": rep.sup_base,
-            "rel_mixed": rep.rel_mixed,
-            "rel_sup": rep.rel_sup,
-            "holds": rep.holds,
-        }
-
-    raise UsageError(f"unknown command {cmd!r}")
+    return {"command": args.command, **args.handler(args)}
 
 
 def _execute(args: argparse.Namespace) -> CommandOutcome:

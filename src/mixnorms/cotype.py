@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import solve_p0, _khinchin_gamma
+from .constants import _P0_TOL, _khinchin_gamma, solve_p0
 from .forms import MultilinearForm, _sign_rows, sup_norm
 from .mixed_norms import ExponentTuple, mixed_norm
 
@@ -34,8 +34,6 @@ _CHUNK = 1 << 14
 
 #: r within this distance above the branch point still counts as sharp.
 SHARP_EDGE = 1e-9
-
-_P0_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -98,12 +96,7 @@ def rademacher_average(vectors, r: float, s: float) -> float:
 def cotype_ratio(vectors, r: float, s: float) -> float:
     """Smallest constant making the cotype-2 inequality hold for this
     family: (sum ||x_k||_r^2)^(1/2) divided by the Rademacher s-average."""
-    mat = _as_matrix(vectors)
-    if not np.any(mat):
-        raise ValueError("cotype ratio undefined for an all-zero family")
-    lhs = math.sqrt(math.fsum((np.abs(row) ** r).sum() ** (2.0 / r) for row in mat))
-    rhs = rademacher_average(mat, r, s)
-    return lhs / rhs
+    return make_instance(vectors, r, s).ratio
 
 
 def make_instance(vectors, r: float, s: float) -> CotypeInstance:

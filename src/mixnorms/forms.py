@@ -111,7 +111,12 @@ def evaluate(form: MultilinearForm, points: Sequence[Sequence[float]]) -> float:
                 f"got length {v.shape[0] if v.ndim == 1 else 'non-vector'}"
             )
         vecs.append(v)
-    val = form.coeffs
+    return _contract(form.coeffs, vecs)
+
+
+def _contract(coeffs: np.ndarray, vecs: Sequence[np.ndarray]) -> float:
+    """Contract one vector into each slot of `coeffs`, first slot first."""
+    val = coeffs
     for v in vecs:
         val = np.tensordot(v, val, axes=(0, 0))
     return float(val)
@@ -155,6 +160,18 @@ def _max_l1(arr: np.ndarray, dims: tuple[int, ...], j: int) -> float:
     return best
 
 
+def _n_vertices(dims: Sequence[int]) -> int:
+    """Number of sign vertices of the product of the slots' unit balls."""
+    return 2 ** sum(dims)
+
+
+def _slot_order(dims: Sequence[int]) -> list[int]:
+    """Slots in `_exact_sup`'s order: the enumerated slots largest first
+    (ties by position), then the largest slot (the last of equals)."""
+    last = max(range(len(dims)), key=lambda i: (dims[i], i))
+    return sorted((i for i in range(len(dims)) if i != last), key=lambda i: -dims[i]) + [last]
+
+
 def _exact_sup(coeffs: np.ndarray) -> float:
     """Exact sup norm over the sign vertices of every slot.
 
@@ -166,9 +183,7 @@ def _exact_sup(coeffs: np.ndarray) -> float:
     if coeffs.ndim == 1:
         return float(np.abs(coeffs).sum())
     dims = coeffs.shape
-    last = max(range(len(dims)), key=lambda i: (dims[i], i))
-    head = sorted((i for i in range(len(dims)) if i != last), key=lambda i: -dims[i])
-    order = head + [last]
+    order = _slot_order(dims)
     return _max_l1(np.transpose(coeffs, order), tuple(dims[i] for i in order), 0)
 
 
@@ -191,7 +206,7 @@ def _ascent(coeffs: np.ndarray, rng: np.random.Generator, max_evals: int) -> tup
     """
     dims = coeffs.shape
     signs = [1.0 - 2.0 * rng.integers(0, 2, size=d).astype(float) for d in dims]
-    value = abs(evaluate(MultilinearForm(coeffs), signs))
+    value = abs(_contract(coeffs, signs))
     evals = 1
     improved = True
     while improved:
@@ -221,9 +236,7 @@ def sup_norm(form: MultilinearForm, budget: int = DEFAULT_SUP_BUDGET) -> SupNorm
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    n_vertices = 1
-    for d in form.dims:
-        n_vertices *= 2 ** d
+    n_vertices = _n_vertices(form.dims)
     if n_vertices <= budget:
         return SupNormResult(_exact_sup(form.coeffs), True, n_vertices)
 
@@ -278,14 +291,20 @@ def permute_slots(form: MultilinearForm, order: Sequence[int]) -> MultilinearFor
     return MultilinearForm(np.transpose(form.coeffs, order), label=form.label)
 
 
-def random_sign_form(dims: Sequence[int], seed) -> MultilinearForm:
-    """Deterministic form with i.i.d. coefficients in {-1, +1}."""
+def _random_signs(dims: Sequence[int], seed) -> np.ndarray:
+    """Writable tensor of i.i.d. coefficients in {-1, +1}, the coefficients
+    of `random_sign_form(dims, seed)`."""
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"dims must be nonempty and positive, got {dims}")
     rng = np.random.default_rng(seed)
-    coeffs = 2.0 * rng.integers(0, 2, size=dims).astype(float) - 1.0
-    return MultilinearForm(coeffs, label=f"random_sign{dims}")
+    return 2.0 * rng.integers(0, 2, size=dims).astype(float) - 1.0
+
+
+def random_sign_form(dims: Sequence[int], seed) -> MultilinearForm:
+    """Deterministic form with i.i.d. coefficients in {-1, +1}."""
+    coeffs = _random_signs(dims, seed)
+    return MultilinearForm(coeffs, label=f"random_sign{coeffs.shape}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ recomputes the full ratio for every trial point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,9 +32,11 @@ from .forms import (
     MultilinearForm,
     _CHUNK,
     _exact_sup,
+    _n_vertices,
+    _random_signs,
     _sign_rows,
+    _slot_order,
     lift,
-    random_sign_form,
     sup_norm,
 )
 from .mixed_norms import ExponentTuple, _blocked_tensor, _nested_norm_numpy, mixed_norm
@@ -56,18 +58,8 @@ class RatioCertificate:
     budget: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "form_label": self.form_label,
-            "dims": list(self.dims),
-            "exponents": str(self.exponents),
-            "mixed": self.mixed,
-            "sup": self.sup,
-            "ratio": self.ratio,
-            "sup_exact": self.sup_exact,
-            "seed": self.seed,
-            "budget": self.budget,
-            "version": VERSION,
-        }
+        return {**asdict(self), "dims": list(self.dims), "exponents": str(self.exponents),
+                "version": VERSION}
 
 
 @dataclass(frozen=True)
@@ -163,9 +155,8 @@ class _Moves:
 
     def __init__(self, dims: tuple[int, ...], exps: ExponentTuple):
         m = len(dims)
-        last = max(range(m), key=lambda i: (dims[i], i))
-        head = sorted((i for i in range(m) if i != last), key=lambda i: -dims[i])
-        self.order = head + [last]
+        self.order = _slot_order(dims)
+        *head, last = self.order
         self.tables = [_sign_rows(dims[i], 0, 2 ** (dims[i] - 1)) for i in head]
         index = np.indices(dims).reshape(m, -1)
         self.column = index[last]
@@ -385,9 +376,7 @@ def optimize_ratio(
         raise ValueError(f"budget must be >= 1, got {budget}")
     if restarts is not None and restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    n_vertices = 1
-    for d in dims:
-        n_vertices *= 2 ** d
+    n_vertices = _n_vertices(dims)
     if n_vertices > DEFAULT_SUP_BUDGET:
         raise ValueError(
             f"dims {dims} needs {n_vertices} sign vertices; exact sup norms "
@@ -401,7 +390,7 @@ def optimize_ratio(
     used = 0
     k = 0
     while used < budget and (restarts is None or k < restarts):
-        coeffs = np.array(random_sign_form(dims, seed + k).coeffs)
+        coeffs = _random_signs(dims, seed + k)
         coeffs, ratio, spent = _climb(coeffs, moves, budget - used)
         used += spent
         if refine and used < budget:

@@ -123,6 +123,16 @@ def test_ratio_nonincreasing_in_s():
             assert b <= a + 1e-12
 
 
+def test_ratio_uses_average_exponent():
+    rng = np.random.default_rng(12)
+    vectors = rng.normal(size=(5, 3))
+    lhs = math.sqrt(sum(np.sum(np.abs(v) ** 1.3) ** (2.0 / 1.3) for v in vectors))
+    for s in (0.7, 1.3, 2.5):
+        want = lhs / brute_rademacher(vectors, 1.3, s)
+        assert cotype_ratio(vectors, 1.3, s) == pytest.approx(want, rel=1e-12)
+        assert cotype_ratio(vectors, 1.3, s) == make_instance(vectors, 1.3, s).ratio
+
+
 # ---------------------------------------------------------------------------
 # closed-form bounds
 # ---------------------------------------------------------------------------
