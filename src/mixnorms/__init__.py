@@ -4,9 +4,9 @@ associated inequalities are built from.
 
 Everything is exact at desk scale: sup norms come from full sign-vertex
 enumeration, Rademacher averages from full sign-pattern enumeration, and
-mixed norms from compensated summation, so the classical constants
-(sqrt 2 baselines, Littlewood's 4/3 ratio, the cotype constant of l_r)
-are reproduced to near machine precision by concrete witnesses.
+mixed norms from finite sums in one vectorised kernel, so the classical
+constants (sqrt 2 baselines, Littlewood's 4/3 ratio, the cotype constant
+of l_r) are reproduced to near machine precision by concrete witnesses.
 """
 
 from ._version import VERSION as __version__

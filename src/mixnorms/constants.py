@@ -133,13 +133,13 @@ def interpolate(
             raise ValueError(f"interpolation needs unblocked tuples, got {t}")
         if t.degree != degree:
             raise ValueError(f"degree mismatch: {t.degree} vs {degree}")
-    if any(w < 0 for w in weights):
+    if any(not w >= 0 for w in weights):  # also rejects NaN
         raise ValueError(f"weights must be nonnegative, got {list(weights)}")
     total = math.fsum(weights)
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1 (got {total!r})")
-    if any(c <= 0 for c in constants):
-        raise ValueError("constants must be positive")
+    if any(not 0 < c < math.inf for c in constants):
+        raise ValueError(f"constants must be finite and positive, got {list(constants)}")
 
     mixed = []
     for j in range(degree):

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import _P0_TOL, _khinchin_gamma, solve_p0
-from .forms import MultilinearForm, _sign_rows, sup_norm
-from .mixed_norms import ExponentTuple, mixed_norm
+from .forms import MultilinearForm, _sign_rows, sup_norm  # noqa: F401 (read by bench/tests)
+from .mixed_norms import ExponentTuple, _nested_norm
+from .search import certify
 
 #: Exact sign enumeration bound: instances with more vectors are rejected.
 MAX_ENUM_VECTORS = 24
@@ -78,9 +79,9 @@ def rademacher_average(vectors, r: float, s: float) -> float:
     n = mat.shape[0]
     if n > MAX_ENUM_VECTORS:
         raise ValueError(f"exact enumeration capped at {MAX_ENUM_VECTORS} vectors, got {n}")
-    if r < 1.0:
+    if not r >= 1.0:  # also rejects NaN
         raise ValueError(f"need r >= 1, got {r}")
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError(f"need s > 0, got {s}")
     free, last = mat[:-1], mat[-1]
     total_patterns = 2 ** (n - 1)
@@ -103,7 +104,7 @@ def make_instance(vectors, r: float, s: float) -> CotypeInstance:
     mat = _as_matrix(vectors)
     if not np.any(mat):
         raise ValueError("cotype ratio undefined for an all-zero family")
-    lhs = math.sqrt(math.fsum((np.abs(row) ** r).sum() ** (2.0 / r) for row in mat))
+    lhs = _nested_norm(mat, (2.0, r))
     rhs = rademacher_average(mat, r, s)
     mat = mat.copy()
     mat.flags.writeable = False
@@ -114,7 +115,7 @@ def extremal_instance(r: float) -> CotypeInstance:
     """The pair (1, 1), (1, -1) in l_r with s = r; every sign pattern gives
     a vector of norm 2, so the ratio is exactly 2^(1/r - 1/2) regardless
     of the average exponent."""
-    if r < 1.0:
+    if not r >= 1.0:
         raise ValueError(f"need r >= 1, got {r}")
     return make_instance([[1.0, 1.0], [1.0, -1.0]], r, r)
 
@@ -150,10 +151,7 @@ def bilinear_cotype_certificate(form: MultilinearForm, r: float) -> float:
         raise ValueError(f"certificate needs a bilinear form, got degree {form.degree}")
     if not 1.0 <= r <= 2.0:
         raise ValueError(f"certificate defined for 1 <= r <= 2, got {r}")
-    if not np.any(form.coeffs):
-        raise ValueError("certificate undefined for the zero form")
-    mixed = mixed_norm(form, ExponentTuple(((1, 2.0), (1, float(r)))))
-    return mixed / sup_norm(form).value
+    return certify(form, ExponentTuple(((1, 2.0), (1, float(r))))).ratio
 
 
 # ---------------------------------------------------------------------------

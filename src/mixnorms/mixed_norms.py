@@ -115,6 +115,8 @@ def parse_number(token: str) -> float:
     token = token.strip()
     if "/" in token:
         num, _, den = token.partition("/")
+        if float(den) == 0.0:
+            raise ValueError(f"zero denominator in {token!r}")
         return float(num) / float(den)
     return float(token)
 
@@ -149,29 +151,30 @@ def _blocked_tensor(coeffs: np.ndarray, exps: ExponentTuple) -> tuple[np.ndarray
     return blocked, ragged
 
 
-def _nested_norm_fsum(arr: np.ndarray, exponents: Sequence[float]) -> float:
-    """Nested norm by recursion with compensated summation at every level."""
-    if not exponents:
-        return abs(float(arr))
-    q = exponents[0]
-    terms = [_nested_norm_fsum(arr[i], exponents[1:]) ** q for i in range(arr.shape[0])]
-    return math.fsum(terms) ** (1.0 / q)
+def _outer_sums(inner: np.ndarray, exponents: Sequence[float]) -> np.ndarray:
+    """Levels 1..k-1 of nested norms from their innermost sums.
 
-
-def _nested_norm_numpy(arr: np.ndarray, exponents: Sequence[float]) -> float:
-    """Vectorized nested norm (no compensated summation); used by the
-    search loops where speed matters more than the last two digits."""
-    out = np.abs(arr) ** exponents[-1]
+    `inner[..., i1, ..., i_{k-1}]` is the sum over the last index of
+    |c|^q_k; leading axes batch independent tensors.  Returns the level-1
+    sums, whose 1/q_1 root is the norm.
+    """
+    out = inner
     for level in range(len(exponents) - 1, 0, -1):
-        out = out.sum(axis=-1) ** (exponents[level - 1] / exponents[level])
-    return float(out.sum(axis=-1) ** (1.0 / exponents[0]))
+        out = (out ** (exponents[level - 1] / exponents[level])).sum(axis=-1)
+    return out
+
+
+def _nested_norm(arr: np.ndarray, exponents: Sequence[float]) -> float:
+    """Nested norm of a tensor with one axis per exponent, outermost first."""
+    inner = (np.abs(arr) ** exponents[-1]).sum(axis=-1)
+    return float(_outer_sums(inner, exponents) ** (1.0 / exponents[0]))
 
 
 def mixed_norm(form: MultilinearForm, exps: ExponentTuple) -> float:
     """Nested mixed norm of the form's coefficients under `exps`.
 
     Finitely supported forms make every sum finite, so the value is exact
-    up to floating-point rounding; sums use compensated summation.  A
+    up to the rounding of numpy's sums, taken innermost level first.  A
     block covering slots of unequal support emits RaggedBlockWarning and
     ranges over the smallest.
     """
@@ -183,7 +186,10 @@ def mixed_norm(form: MultilinearForm, exps: ExponentTuple) -> float:
             RaggedBlockWarning,
             stacklevel=2,
         )
-    return _nested_norm_fsum(blocked, exps.exponents)
+    value = _nested_norm(blocked, exps.exponents)
+    if math.isinf(value):  # finite coefficients: a power overflowed float64
+        raise ValueError(f"mixed norm under {exps} overflows float64")
+    return value
 
 
 def bh_exponents(m: int) -> ExponentTuple:

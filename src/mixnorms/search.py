@@ -39,7 +39,7 @@ from .forms import (
     lift,
     sup_norm,
 )
-from .mixed_norms import ExponentTuple, _blocked_tensor, _nested_norm_numpy, mixed_norm
+from .mixed_norms import ExponentTuple, _blocked_tensor, _nested_norm, _outer_sums, mixed_norm
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,8 @@ def _fast_ratio_fn(exps: ExponentTuple) -> Callable[[np.ndarray], float]:
     The sup norm comes from the same exact kernel as `sup_norm`, which
     covers every sign vertex: the largest slot in closed form, and for each
     other slot the half of its sign vectors whose last sign is +1.  Returns
-    -inf for the zero form so such moves are never accepted.  The final
-    certificate is always recomputed through the canonical
-    compensated-summation path.
+    -inf for the zero form so such moves are never accepted.  Both norms
+    are the kernels `certify` uses, so the ratio equals the certificate's.
     """
     exponents = exps.exponents
 
@@ -121,7 +120,7 @@ def _fast_ratio_fn(exps: ExponentTuple) -> Callable[[np.ndarray], float]:
         if sup == 0.0:
             return -math.inf
         blocked, _ = _blocked_tensor(coeffs, exps)
-        return _nested_norm_numpy(blocked, exponents) / sup
+        return _nested_norm(blocked, exponents) / sup
 
     return ratio
 
@@ -147,8 +146,8 @@ class _Moves:
     changes G[:, l_i] by delta * s_i and R by the change of |G[:, l_i]|.
     The nested norm keeps F, the innermost fiber sums of |blocked|^q_last;
     a move changes one entry of F (none when the entry is off every block
-    diagonal), and the upper levels are recomputed with the ops of
-    `_nested_norm_numpy`.  With coefficients in {-1, 0, +1}, G, R and F
+    diagonal), and the upper levels are recomputed by `_outer_sums`, the
+    helper of `_nested_norm`.  With coefficients in {-1, 0, +1}, G, R and F
     hold small integers, so every update is exact and each score equals
     `_fast_ratio_fn` of the moved tensor bit for bit.
     """
@@ -182,11 +181,9 @@ class _Moves:
         self.fiber = np.where(on, fiber, -1)
         self.fibers = np.arange(math.prod(self.fiber_shape))
 
-        exponents = exps.exponents
         self.exps = exps
-        self.q_last = exponents[-1]
-        self.level_ratios = [exponents[j - 1] / exponents[j] for j in range(exps.k - 1, 0, -1)]
-        self.root = 1.0 / exponents[0]
+        self.exponents = exps.exponents
+        self.root = 1.0 / self.exponents[0]
         width = max(n_rows, self.fibers.size)
         self.block = max(1, _CHUNK // (2 * width))
 
@@ -202,10 +199,7 @@ class _Moves:
     def _levels(self, inner: np.ndarray) -> np.ndarray:
         """Upper levels of the nested norm from innermost fiber sums of
         shape (..., fibers); returns the outermost sums before the root."""
-        out = inner.reshape(inner.shape[:-1] + self.fiber_shape)
-        for r in self.level_ratios:
-            out = (out ** r).sum(axis=-1)
-        return out
+        return _outer_sums(inner.reshape(inner.shape[:-1] + self.fiber_shape), self.exponents)
 
     def start(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(G transposed, R, F) of a {-1, 0, +1} tensor."""
@@ -215,7 +209,7 @@ class _Moves:
             rest = g.shape[1] // t.shape[1]
             g = np.matmul(t, g.reshape(len(g), t.shape[1], rest)).reshape(-1, rest)
         blocked, _ = _blocked_tensor(coeffs, self.exps)
-        inner = (np.abs(blocked) ** self.q_last).sum(axis=-1).reshape(-1)
+        inner = (np.abs(blocked) ** self.exponents[-1]).sum(axis=-1).reshape(-1)
         return np.ascontiguousarray(g.T), np.abs(g).sum(axis=1), inner
 
     def ratio(self, sup: float, nested) -> float:

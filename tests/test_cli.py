@@ -191,6 +191,40 @@ def test_out_of_range_count_is_domain_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["mixed", "--form", "littlewood2", "--exps", "1/0,2"],
+    ["certify", "--form", "littlewood2", "--exps", "1/0"],
+    ["cotype-ratio", "--vectors", "1,1;1/0,1", "--r", "1.5"],
+])
+def test_zero_denominator_is_domain_error(capsys, argv):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "zero denominator" in err
+
+
+def test_zero_denominator_option_is_usage_error(capsys):
+    assert main(["khinchin", "--p", "1/0"]) == 2
+    err = capsys.readouterr().err
+    assert main(["khinchin", "--p", "abc"]) == 2
+    assert err.replace("1/0", "abc") == capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cotype-ratio", "--vectors", "1,1;1,-1", "--r", "nan", "--json"], "need r >= 1"),
+    (["cotype-ratio", "--vectors", "1,1;1,-1", "--r", "1.5", "--s", "nan"], "need s > 0"),
+    (["interpolate", "--tuples", "1,2;2,1", "--constants", "1,nan"], "finite and positive"),
+    (["interpolate", "--tuples", "1,2;2,1", "--constants", "1,1", "--weights", "nan,1"],
+     "nonnegative"),
+    (["mixed", "--form", "littlewood2", "--exps", "2000,1", "--json"], "overflows float64"),
+])
+def test_nan_or_overflow_is_domain_error(capsys, argv, message):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_norm_huge_budget_stays_exact(tmp_path, capsys):
     path = tmp_path / "big.json"
     save_form(random_sign_form((20, 20), 0), path)

@@ -172,6 +172,19 @@ def test_interpolate_validation():
         interpolate([e], [1.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("constant", [math.nan, math.inf, -math.inf, -1.0])
+def test_interpolate_rejects_bad_constants(constant):
+    e = ExponentTuple.parse("1,2")
+    with pytest.raises(ValueError, match="finite and positive"):
+        interpolate([e, e], [0.5, 0.5], [1.0, constant])
+
+
+def test_interpolate_rejects_nan_weights():
+    e = ExponentTuple.parse("1,2")
+    with pytest.raises(ValueError, match="nonnegative"):
+        interpolate([e, e], [math.nan, 1.0], [1.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # recursion and asymptotic gap
 # ---------------------------------------------------------------------------

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from mixnorms import (
+    ExponentTuple,
     MultilinearForm,
     bilinear_cotype_certificate,
+    certify,
     cotype_bounds,
     cotype_ratio,
     extremal_instance,
     littlewood2,
     load_instance,
     make_instance,
+    mixed_norm,
     rademacher_average,
     random_sign_form,
     solve_p0,
@@ -79,6 +82,17 @@ def test_average_rejects_bad_input():
         rademacher_average(EXTREMAL_PAIR, 2.0, 0.0)
     with pytest.raises(ValueError, match="r >= 1"):
         rademacher_average(EXTREMAL_PAIR, 0.5, 1.0)
+
+
+def test_average_rejects_nan_exponents():
+    with pytest.raises(ValueError, match="r >= 1"):
+        rademacher_average(EXTREMAL_PAIR, math.nan, 1.0)
+    with pytest.raises(ValueError, match="s > 0"):
+        rademacher_average(EXTREMAL_PAIR, 2.0, math.nan)
+    with pytest.raises(ValueError, match="r >= 1"):
+        cotype_ratio(EXTREMAL_PAIR, math.nan, 2.0)
+    with pytest.raises(ValueError, match="r >= 1"):
+        extremal_instance(math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +277,22 @@ def test_instance_dict_validation():
 
     with pytest.raises(ValueError, match="needs r, s and vectors"):
         instance_from_dict({"r": 1.0, "vectors": EXTREMAL_PAIR})
+
+
+@pytest.mark.parametrize("r", [1.0, 4 / 3, 1.5, 2.0])
+def test_lhs_is_the_two_r_mixed_norm(r):
+    mat = np.random.default_rng(5).standard_normal((4, 3))
+    lhs = make_instance(mat, r, 2.0).lhs
+    assert lhs == mixed_norm(MultilinearForm(mat), ExponentTuple.unblocked((2.0, r)))
+    expected = math.sqrt(math.fsum(math.fsum(abs(x) ** r for x in row) ** (2.0 / r) for row in mat))
+    assert lhs == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
+def test_certificate_is_the_certify_ratio(r):
+    form = random_sign_form((3, 4), 2)
+    cert = certify(form, ExponentTuple.unblocked((2.0, r)))
+    assert bilinear_cotype_certificate(form, r) == cert.ratio
 
 
 def test_make_instance_fields():

@@ -78,6 +78,14 @@ def test_parse_number_fraction():
     assert parse_number(" 1.25 ") == 1.25
 
 
+@pytest.mark.parametrize("token", ["1/0", "1/0.0", "3/-0"])
+def test_parse_number_rejects_zero_denominator(token):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_number(token)
+    with pytest.raises(ValueError, match="zero denominator"):
+        ExponentTuple.parse(f"{token},2")
+
+
 # ---------------------------------------------------------------------------
 # mixed norms: golden values (each checked against the brute oracle)
 # ---------------------------------------------------------------------------
@@ -126,6 +134,13 @@ def test_blocked_mixed_norm_matches_oracle():
     assert mixed_norm(form, ExponentTuple(blocks)) == pytest.approx(
         brute_mixed(form.coeffs, blocks), rel=1e-12
     )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_norm_is_rejected():
+    # The true value is 2^(2001/2000), but 2^2000 overflows at the outer level.
+    with pytest.raises(ValueError, match="overflows float64"):
+        mixed_norm(littlewood2(), ExponentTuple.parse("2000,1"))
 
 
 def test_ragged_block_warns_and_uses_min_range():

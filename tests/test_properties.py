@@ -1,9 +1,9 @@
 """Property-based differential tests of the exact kernels.
 
-The exact sup norm and the climb's ratio function are checked against the
-brute-force oracles on random dims, with the largest slot (and ties) in
-every position, and the climb's batched move scores against the ratio
-function of each moved tensor.  Hypothesis runs derandomized with a
+The exact sup norm, the nested mixed norm and the climb's ratio function
+are checked against the brute-force oracles and the certificate on random
+dims, with the largest slot (and ties) in every position, and the climb's
+batched move scores against the ratio function of each moved tensor.  Hypothesis runs derandomized with a
 bounded number of examples, so the suite stays deterministic and fast.
 """
 
@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mixnorms import ExponentTuple, MultilinearForm, certify, sup_norm
+from mixnorms import ExponentTuple, MultilinearForm, certify, mixed_norm, sup_norm
+from mixnorms.mixed_norms import _nested_norm, _outer_sums
 from mixnorms.search import _Moves, _climb, _fast_ratio_fn
 
-from _oracles import brute_sup
+from _oracles import brute_mixed, brute_sup
 
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None, database=None)
 
@@ -77,7 +78,28 @@ def test_fast_ratio_matches_certificate(data, dims, seed, integer):
     exps = _exponent_tuple(data.draw, len(dims))
     fast = _fast_ratio_fn(exps)(coeffs)
     cert = certify(MultilinearForm(coeffs), exps)
-    assert math.isclose(fast, cert.ratio, rel_tol=1e-12)
+    assert fast == cert.ratio  # one nested-norm kernel and one sup kernel
+
+
+@pytest.mark.filterwarnings("ignore::mixnorms.RaggedBlockWarning")
+@PROPERTY
+@given(data=st.data(), dims=DIMS, seed=SEEDS, integer=st.booleans())
+def test_mixed_norm_matches_brute_force(data, dims, seed, integer):
+    coeffs = _coeffs(dims, seed, integer)
+    exps = _exponent_tuple(data.draw, len(dims))
+    value = mixed_norm(MultilinearForm(coeffs), exps)
+    assert math.isclose(value, brute_mixed(coeffs, exps.blocks), rel_tol=1e-13)
+
+
+@PROPERTY
+@given(data=st.data(), dims=DIMS, seed=SEEDS, batch=st.integers(1, 4))
+def test_outer_sums_batch_independent_tensors(data, dims, seed, batch):
+    exponents = [data.draw(st.sampled_from([1.0, 4 / 3, 1.5, 2.0, 3.0])) for _ in dims]
+    stack = np.stack([_coeffs(dims, seed + b, False) for b in range(batch)])
+    batched = _outer_sums((np.abs(stack) ** exponents[-1]).sum(axis=-1), exponents)
+    for b in range(batch):
+        # The root stays a scalar power, as in `_nested_norm` and the climb.
+        assert float(batched[b] ** (1.0 / exponents[0])) == _nested_norm(stack[b], exponents)
 
 
 def test_zero_form():
