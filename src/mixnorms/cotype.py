@@ -5,7 +5,9 @@ The cotype-2 inequality with average exponent s bounds
 ||sum_k eps_k x_k|| over independent signs eps.  For finitely many
 vectors the average over [0,1] of the Rademacher combination equals the
 uniform average over all 2^n sign patterns, which this module enumerates
-exactly (capped at n = 24; no sampling fallback).
+exactly (capped at n = 24; no sampling fallback).  Every pattern's sum is
+one entry of a half table for the high vectors plus one entry of a half
+table for the low ones, so no sign row is ever built per pattern.
 
 For l_r with 1 <= r <= 2 the smallest constant is known in closed form up
 to the Khinchin branch point p0 ~ 1.84742: it equals 2^(1/r - 1/2) for
@@ -24,14 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import _P0_TOL, _khinchin_gamma, solve_p0
-from .forms import MultilinearForm, _sign_rows, sup_norm  # noqa: F401 (read by bench/tests)
+from .forms import _CHUNK, MultilinearForm, _sign_vertices, sup_norm  # noqa: F401 (read by bench/tests)
 from .mixed_norms import ExponentTuple, _nested_norm
 from .search import certify
 
 #: Exact sign enumeration bound: instances with more vectors are rejected.
 MAX_ENUM_VECTORS = 24
-
-_CHUNK = 1 << 14
 
 #: r within this distance above the branch point still counts as sharp.
 SHARP_EDGE = 1e-9
@@ -71,27 +71,45 @@ def _as_matrix(vectors) -> np.ndarray:
 def rademacher_average(vectors, r: float, s: float) -> float:
     """(mean over all 2^n sign patterns of ||sum eps_k x_k||_r^s)^(1/s).
 
-    Exact enumeration, vectorized in chunks of sign patterns; n is capped
-    at MAX_ENUM_VECTORS.  Since ||-v|| = ||v||, the last sign is fixed at
-    +1 and only the 2^(n-1) patterns of the others are enumerated.
+    Exact enumeration by split sums; n is capped at MAX_ENUM_VECTORS.
+    Since ||-v|| = ||v||, the last sign is fixed at +1 and only the
+    2^(n-1) patterns of the others are enumerated.  The free vectors split
+    into a low half (the first lo = (n-1)//2) and a high half; the half
+    tables A = signs_hi @ X_hi + x_last and B = signs_lo @ X_lo hold at
+    most 2^12 rows each, and the pattern with high part j and low part l
+    sums to A[j] + B[l].  Blocks of A rows against all of B keep the two
+    block buffers at forms._CHUNK entries whatever n is.
     """
     mat = _as_matrix(vectors)
-    n = mat.shape[0]
+    n, d = mat.shape
     if n > MAX_ENUM_VECTORS:
         raise ValueError(f"exact enumeration capped at {MAX_ENUM_VECTORS} vectors, got {n}")
-    if not r >= 1.0:  # also rejects NaN
-        raise ValueError(f"need r >= 1, got {r}")
-    if not s > 0.0:
-        raise ValueError(f"need s > 0, got {s}")
+    if not 1.0 <= r < math.inf:  # also rejects NaN
+        raise ValueError(f"need r >= 1 (finite), got {r}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"need s > 0 (finite), got {s}")
+    lo = (n - 1) // 2
     free, last = mat[:-1], mat[-1]
-    total_patterns = 2 ** (n - 1)
+    # Coordinate-major, so each coordinate's block is one broadcast add.
+    high = np.ascontiguousarray((_sign_vertices(n - 1 - lo) @ free[lo:] + last).T)
+    low = np.ascontiguousarray((_sign_vertices(lo) @ free[:lo]).T)
+    n_high, width = high.shape[1], low.shape[1]
+    step = min(n_high, _CHUNK // width)  # powers of two: the blocks tile A
+    acc, term = np.empty((2, step, width))
     partials = []
-    for start in range(0, total_patterns, _CHUNK):
-        signs = _sign_rows(n - 1, start, min(start + _CHUNK, total_patterns))
-        sums = signs @ free + last
-        norms = (np.abs(sums) ** r).sum(axis=1) ** (1.0 / r)
-        partials.append(float((norms ** s).sum()))
-    return (math.fsum(partials) / total_patterns) ** (1.0 / s)
+    for start in range(0, n_high, step):
+        # Summing coordinates in order matches numpy's row sum for d < 8.
+        for i in range(d):
+            out = term if i else acc
+            np.add(high[i, start:start + step, None], low[i], out=out)
+            np.abs(out, out=out)
+            out **= r
+            if i:
+                acc += term
+        acc **= 1.0 / r
+        acc **= s
+        partials.append(float(acc.sum()))
+    return (math.fsum(partials) / 2 ** (n - 1)) ** (1.0 / s)
 
 
 def cotype_ratio(vectors, r: float, s: float) -> float:
@@ -104,8 +122,14 @@ def make_instance(vectors, r: float, s: float) -> CotypeInstance:
     mat = _as_matrix(vectors)
     if not np.any(mat):
         raise ValueError("cotype ratio undefined for an all-zero family")
-    lhs = _nested_norm(mat, (2.0, r))
-    rhs = rademacher_average(mat, r, s)
+    with np.errstate(over="ignore", under="ignore"):
+        rhs = rademacher_average(mat, r, s)  # first: it validates r and s
+        lhs = _nested_norm(mat, (2.0, r))
+    # Both sides of a nonzero family are positive and finite; anything else
+    # means a power overflowed or underflowed float64.
+    if not (0.0 < lhs < math.inf and 0.0 < rhs < math.inf):
+        raise ValueError(f"cotype sides of this family under r = {r}, s = {s} "
+                         "fall outside float64 range")
     mat = mat.copy()
     mat.flags.writeable = False
     return CotypeInstance(float(r), float(s), mat, lhs, rhs, lhs / rhs)
@@ -115,8 +139,8 @@ def extremal_instance(r: float) -> CotypeInstance:
     """The pair (1, 1), (1, -1) in l_r with s = r; every sign pattern gives
     a vector of norm 2, so the ratio is exactly 2^(1/r - 1/2) regardless
     of the average exponent."""
-    if not r >= 1.0:
-        raise ValueError(f"need r >= 1, got {r}")
+    if not 1.0 <= r < math.inf:  # also rejects NaN
+        raise ValueError(f"need r >= 1 (finite), got {r}")
     return make_instance([[1.0, 1.0], [1.0, -1.0]], r, r)
 
 

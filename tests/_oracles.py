@@ -3,9 +3,13 @@
 Everything here is deliberately written with plain Python loops over
 itertools enumerations so it shares no code path with the library: the
 library contracts tensors with numpy, the oracles multiply scalars.
+`half_rademacher` is the exception: it is the library's former chunked
+numpy enumeration, kept to check the split-sum kernel at n too large for
+the scalar loops.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -73,3 +77,20 @@ def brute_rademacher(vectors, r, s):
         norm = sum(abs(c) ** r for c in combo) ** (1.0 / r)
         total += norm ** s
     return (total / 2 ** n) ** (1.0 / s)
+
+
+def half_rademacher(vectors, r, s):
+    """Exact Rademacher s-average in l_r from the 2^(n-1) patterns whose
+    last sign is +1, one chunk of explicit sign rows at a time."""
+    mat = np.asarray(vectors, dtype=float)
+    free, last = mat[:-1], mat[-1]
+    total = 2 ** free.shape[0]
+    chunk = 1 << 14
+    partials = []
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        signs = 1.0 - 2.0 * ((idx[:, None] >> np.arange(free.shape[0])) & 1)
+        sums = signs @ free + last
+        norms = (np.abs(sums) ** r).sum(axis=1) ** (1.0 / r)
+        partials.append(float((norms ** s).sum()))
+    return (math.fsum(partials) / total) ** (1.0 / s)

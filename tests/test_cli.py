@@ -217,6 +217,14 @@ def test_zero_denominator_option_is_usage_error(capsys):
     (["interpolate", "--tuples", "1,2;2,1", "--constants", "1,1", "--weights", "nan,1"],
      "nonnegative"),
     (["mixed", "--form", "littlewood2", "--exps", "2000,1", "--json"], "overflows float64"),
+    (["cotype-ratio", "--vectors", "1,1;1,-1", "--r", "inf", "--json"], "need r >= 1"),
+    (["cotype-ratio", "--vectors", "1,1;1,-1", "--r", "1.5", "--s", "inf", "--json"],
+     "need s > 0"),
+    (["cotype-ratio", "--vectors", "1e200,1;1,1", "--r", "2", "--json"], "float64 range"),
+    (["cotype-ratio", "--vectors", "1e-200,0;0,1e-200", "--r", "1.5", "--json"],
+     "float64 range"),
+    (["cotype-ratio", "--vectors", "1e-170,0;0,1e-170", "--r", "2", "--s", "4", "--json"],
+     "float64 range"),
 ])
 def test_nan_or_overflow_is_domain_error(capsys, argv, message):
     assert main(argv) == 1

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from mixnorms import (
     triple221,
 )
 
-from _oracles import brute_rademacher
+from _oracles import brute_rademacher, half_rademacher
 
 SQRT2 = math.sqrt(2.0)
 EXTREMAL_PAIR = [[1.0, 1.0], [1.0, -1.0]]
@@ -73,6 +74,28 @@ def test_average_half_enumeration_matches_oracle(n):
         )
 
 
+@pytest.mark.parametrize("n, d, r, s", [(17, 3, 1.7, 1.0), (20, 2, 2.0, 2.0),
+                                        (20, 9, 1.2, 0.6)])
+def test_split_sums_match_chunked_half_enumeration(n, d, r, s):
+    # Both n take A in several row blocks: 2 at n = 17, 16 at n = 20
+    vectors = np.random.default_rng([n, d]).standard_normal((n, d))
+    assert rademacher_average(vectors, r, s) == pytest.approx(
+        half_rademacher(vectors, r, s), rel=1e-12
+    )
+
+
+def test_average_memory_is_bounded_at_the_cap():
+    vectors = np.random.default_rng(24).standard_normal((24, 2))
+    tracemalloc.start()
+    try:
+        value = rademacher_average(vectors, 1.5, 1.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(value) and value > 0.0
+    assert peak < 4 * 2 ** 20
+
+
 def test_average_rejects_bad_input():
     with pytest.raises(ValueError, match="capped"):
         rademacher_average(np.ones((25, 2)), 2.0, 2.0)
@@ -93,6 +116,20 @@ def test_average_rejects_nan_exponents():
         cotype_ratio(EXTREMAL_PAIR, math.nan, 2.0)
     with pytest.raises(ValueError, match="r >= 1"):
         extremal_instance(math.nan)
+
+
+@pytest.mark.parametrize("r, s", [(math.inf, 1.0), (-math.inf, 1.0), (1.5, math.inf)])
+def test_average_rejects_infinite_exponents(r, s):
+    # The power formula has no l_inf limit: r = inf used to give rhs 1, not 2
+    with pytest.raises(ValueError, match="finite"):
+        rademacher_average(EXTREMAL_PAIR, r, s)
+    with pytest.raises(ValueError, match="finite"):
+        cotype_ratio(EXTREMAL_PAIR, r, s)
+
+
+def test_extremal_instance_rejects_infinite_r():
+    with pytest.raises(ValueError, match="finite"):
+        extremal_instance(math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +154,23 @@ def test_single_unit_vector_ratio_one():
 def test_all_zero_family_rejected():
     with pytest.raises(ValueError, match="all-zero"):
         cotype_ratio([[0.0, 0.0], [0.0, 0.0]], 1.5, 1.5)
+
+
+@pytest.mark.parametrize("vectors, r, s", [
+    ([[1e200, 1.0], [1.0, 1.0]], 2.0, 2.0),      # overflows: lhs and rhs inf
+    ([[1e-200, 0.0], [0.0, 1e-200]], 1.5, 1.5),  # lhs underflows to 0
+    ([[1e-170, 0.0], [0.0, 1e-170]], 2.0, 4.0),  # rhs underflows to 0
+])
+def test_ratio_outside_float64_range_rejected(vectors, r, s):
+    with pytest.raises(ValueError, match="outside float64 range"):
+        make_instance(vectors, r, s)
+
+
+def test_tiny_entry_beside_unit_entries_is_in_range():
+    # Its powers underflow, but they are negligible next to the others'
+    assert cotype_ratio([[1e-200, 1.0], [1.0, 1.0]], 2.0, 2.0) == pytest.approx(
+        math.sqrt(3.0) / brute_rademacher([[0.0, 1.0], [1.0, 1.0]], 2.0, 2.0), rel=1e-12
+    )
 
 
 def test_ratio_scaling_invariance():

@@ -3,8 +3,10 @@
 The exact sup norm, the nested mixed norm and the climb's ratio function
 are checked against the brute-force oracles and the certificate on random
 dims, with the largest slot (and ties) in every position, and the climb's
-batched move scores against the ratio function of each moved tensor.  Hypothesis runs derandomized with a
-bounded number of examples, so the suite stays deterministic and fast.
+batched move scores against the ratio function of each moved tensor.  The
+split-sum Rademacher average is checked against the full enumeration.
+Hypothesis runs derandomized with a bounded number of examples, so the
+suite stays deterministic and fast.
 """
 
 import math
@@ -13,11 +15,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mixnorms import ExponentTuple, MultilinearForm, certify, mixed_norm, sup_norm
+from mixnorms import (
+    ExponentTuple,
+    MultilinearForm,
+    certify,
+    mixed_norm,
+    rademacher_average,
+    sup_norm,
+)
 from mixnorms.mixed_norms import _nested_norm, _outer_sums
 from mixnorms.search import _Moves, _climb, _fast_ratio_fn
 
-from _oracles import brute_mixed, brute_sup
+from _oracles import brute_mixed, brute_rademacher, brute_sup
 
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None, database=None)
 
@@ -100,6 +109,19 @@ def test_outer_sums_batch_independent_tensors(data, dims, seed, batch):
     for b in range(batch):
         # The root stays a scalar power, as in `_nested_norm` and the climb.
         assert float(batched[b] ** (1.0 / exponents[0])) == _nested_norm(stack[b], exponents)
+
+
+@PROPERTY
+@given(n=st.integers(1, 10), d=st.integers(1, 5), seed=SEEDS,
+       r=st.one_of(st.just(2.0), st.floats(1.0, 3.0)), s=st.floats(0.3, 4.0))
+@example(n=1, d=3, seed=1, r=1.0, s=1.0)   # lo = 0: the low table is one zero row
+@example(n=2, d=1, seed=2, r=2.0, s=0.3)
+@example(n=9, d=5, seed=3, r=3.0, s=4.0)   # n - 1 even: halves of equal width
+@example(n=10, d=2, seed=4, r=1.5, s=2.0)  # n - 1 odd: the high half is wider
+def test_rademacher_average_matches_brute_force(n, d, seed, r, s):
+    vectors = np.random.default_rng(seed).standard_normal((n, d))
+    expected = brute_rademacher(vectors.tolist(), r, s)
+    assert math.isclose(rademacher_average(vectors, r, s), expected, rel_tol=1e-12)
 
 
 def test_zero_form():
