@@ -16,7 +16,11 @@ contracted in blocks of bounded size.  The exact value is used whenever
 the full grid of 2^sum(dims) sign vertices fits the evaluation budget, so
 ``exact`` still means that every vertex is covered, and ``evaluations``
 counts the full grid.  Larger forms fall back to an alternating
-coordinate-ascent heuristic whose result is still a valid lower bound.
+coordinate-ascent heuristic whose result is still a valid lower bound: 32
+restarts from fixed random vertices, each step setting one slot's signs
+to those of its gradient when that changes a sign and raises the value.
+The restarts advance in lockstep, one batched contraction per slot step,
+in groups whose temporaries stay within max(form size, 2^15) elements.
 
 All user-facing I/O (the JSON form files) uses 1-based indices; the Python
 API is 0-based like the underlying arrays.
@@ -25,6 +29,7 @@ API is 0-based like the underlying arrays.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -187,42 +192,139 @@ def _exact_sup(coeffs: np.ndarray) -> float:
     return _max_l1(np.transpose(coeffs, order), tuple(dims[i] for i in order), 0)
 
 
-def _slot_gradient(coeffs: np.ndarray, signs: list[np.ndarray], slot: int) -> np.ndarray:
-    """Contract every slot except `slot` with its sign vector."""
-    arr = coeffs
-    for axis in range(coeffs.ndim - 1, -1, -1):
-        if axis == slot:
-            continue
-        arr = np.tensordot(arr, signs[axis], axes=(axis, 0))
-    return arr
+@lru_cache(maxsize=16)
+def _ascent_starts(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Start signs of every restart, one read-only int8 table of shape
+    (ASCENT_RESTARTS, d) per slot.  Restart k draws its slots in order from
+    the generator seeded with (_ASCENT_SEED, k), so the starts depend on
+    `dims` alone.  At one byte per sign the tables take ASCENT_RESTARTS
+    bytes per slot coordinate."""
+    tables = tuple(np.empty((ASCENT_RESTARTS, d), dtype=np.int8) for d in dims)
+    for k in range(ASCENT_RESTARTS):
+        rng = np.random.default_rng((_ASCENT_SEED, k))
+        for table in tables:
+            table[k] = 1 - 2 * rng.integers(0, 2, size=table.shape[1])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def _ascent(coeffs: np.ndarray, rng: np.random.Generator, max_evals: int) -> tuple[float, int]:
-    """One run of alternating sign ascent from a random vertex.
+class _Gradients:
+    """Slot gradients of a batch of sign vertices: for every row, the
+    coefficient tensor contracted with the row's signs in every slot but
+    one.  The largest other slot is contracted first, by one matmul with a
+    cached matrix layout of the coefficients; the rest one slot at a time,
+    last first, batched over the rows."""
+
+    def __init__(self, coeffs: np.ndarray):
+        self.coeffs = coeffs
+        self.dims = dims = coeffs.shape
+        # For slot s, the largest other slot: the largest, or for the
+        # largest itself the runner-up.
+        by_size = sorted(range(len(dims)), key=lambda i: -dims[i])
+        self.first = [by_size[by_size[0] == s] for s in range(len(dims))] if len(dims) > 1 else []
+        self.mats = {
+            f: np.moveaxis(coeffs, f, 0).reshape(dims[f], -1) for f in set(self.first)
+        }
+
+    def row_elements(self) -> int:
+        """Elements per row of the largest temporary, the first product."""
+        return max((m.shape[1] for m in self.mats.values()), default=self.dims[0])
+
+    def __call__(self, signs: list[np.ndarray], slot: int) -> np.ndarray:
+        dims = self.dims
+        n = signs[0].shape[0]
+        if len(dims) == 1:
+            return np.broadcast_to(self.coeffs, (n, dims[0]))
+        f = self.first[slot]
+        arr = signs[f] @ self.mats[f]
+        axes = [j for j in range(len(dims)) if j != f]
+        for j in reversed(axes):
+            if j == slot:
+                continue
+            p = axes.index(j)
+            inner = math.prod(dims[i] for i in axes[p + 1:])
+            arr = arr.reshape(n, -1, dims[j], inner)
+            arr = np.einsum("axjy,aj->axy", arr, signs[j])
+            axes.pop(p)
+        return arr.reshape(n, dims[slot])
+
+
+def _lockstep_ascent(grads: _Gradients, starts: list[np.ndarray],
+                     caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Alternating sign ascent from every row of `starts` at once.
 
     Per slot, the optimal signs given the others are the signs of the
-    contracted coefficient vector; ties keep the current sign so the run
-    is deterministic.  Returns (best |value|, evaluations used).
+    slot gradient; ties keep the current sign.  A step is accepted when it
+    changes a sign and raises the value (one that changes no sign only
+    recomputes the same vertex, up to rounding), and a row stops after a sweep
+    over all slots with no accepted step, or before a step that would take
+    its evaluations past its cap.  Returns (evaluations, value) of every
+    row after every step, shape (steps + 1, rows), each row's last entry
+    repeated once it has stopped.
     """
-    dims = coeffs.shape
-    signs = [1.0 - 2.0 * rng.integers(0, 2, size=d).astype(float) for d in dims]
-    value = abs(_contract(coeffs, signs))
-    evals = 1
-    improved = True
-    while improved:
-        improved = False
-        for slot in range(coeffs.ndim):
-            if evals + dims[slot] > max_evals:
-                return value, evals
-            grad = _slot_gradient(coeffs, signs, slot)
-            evals += dims[slot]
-            new_signs = np.where(grad > 0, 1.0, np.where(grad < 0, -1.0, signs[slot]))
-            new_value = float(np.dot(new_signs, grad))
-            if new_value > value:
-                signs[slot] = new_signs
-                value = new_value
-                improved = True
-    return value, evals
+    dims = grads.dims
+    signs = [s.astype(float) for s in starts]
+    rows = np.arange(len(caps))
+    grad = grads(signs, 0)
+    value = np.abs(np.einsum("ad,ad->a", signs[0], grad))
+    evals = np.ones(len(caps), dtype=np.int64)
+    all_evals, all_values = evals.copy(), value.copy()
+    hist_evals, hist_values = [all_evals.copy()], [all_values.copy()]
+    while rows.size:
+        improved = np.zeros(rows.size, dtype=bool)
+        for slot, d in enumerate(dims):
+            fits = evals + d <= caps[rows]
+            if not fits.all():
+                signs = [s[fits] for s in signs]
+                rows, value, evals, improved = rows[fits], value[fits], evals[fits], improved[fits]
+                grad = None
+                if not rows.size:
+                    break
+            if grad is None:
+                grad = grads(signs, slot)
+            flip = grad * signs[slot] < 0
+            new_value = np.abs(grad).sum(axis=1)  # the value at the gradient's signs
+            accept = (new_value > value) & flip.any(axis=1)
+            signs[slot] = np.where(flip & accept[:, None], -signs[slot], signs[slot])
+            value = np.where(accept, new_value, value)
+            evals += d
+            improved |= accept
+            all_evals[rows], all_values[rows] = evals, value
+            hist_evals.append(all_evals.copy())
+            hist_values.append(all_values.copy())
+            grad = None
+        signs = [s[improved] for s in signs]
+        rows, value, evals = rows[improved], value[improved], evals[improved]
+    return np.array(hist_evals), np.array(hist_values)
+
+
+def _ascent_sup(coeffs: np.ndarray, budget: int) -> tuple[float, int]:
+    """Best value and evaluations of ASCENT_RESTARTS ascents, restart k
+    getting whatever budget restarts 0..k-1 left, as if run one after
+    another.  The restarts run in lockstep, in groups small enough that no
+    temporary exceeds max(coeffs.size, _CHUNK) elements; each group runs
+    to the end, and the sequential accounting is replayed on its record."""
+    grads = _Gradients(coeffs)
+    starts = _ascent_starts(coeffs.shape)
+    group = max(1, max(coeffs.size, _CHUNK) // grads.row_elements())
+    best = 0.0
+    used = 0
+    for lo in range(0, ASCENT_RESTARTS, group):
+        if used >= budget:
+            break
+        hi = min(ASCENT_RESTARTS, lo + group)
+        # Restart lo + i gets at most budget - used - i: each earlier one
+        # spends at least its start evaluation.
+        caps = budget - used - np.arange(hi - lo)
+        evals, values = _lockstep_ascent(grads, [s[lo:hi] for s in starts], caps)
+        for i in range(hi - lo):
+            if used >= budget:
+                break
+            t = int(np.searchsorted(evals[:, i], budget - used, side="right")) - 1
+            used += int(evals[t, i])
+            best = max(best, float(values[t, i]))
+    return best, used
 
 
 def sup_norm(form: MultilinearForm, budget: int = DEFAULT_SUP_BUDGET) -> SupNormResult:
@@ -231,25 +333,20 @@ def sup_norm(form: MultilinearForm, budget: int = DEFAULT_SUP_BUDGET) -> SupNorm
     If the full sign-vertex grid fits in `budget` evaluations the maximum
     is exact (computed by `_exact_sup`, which needs only a fraction of the
     grid; `evaluations` still reports the full grid).  Otherwise
-    alternating ascent with random restarts returns a deterministic lower
-    bound flagged exact=False.
+    ASCENT_RESTARTS alternating sign ascents from fixed random vertices
+    return a deterministic lower bound flagged exact=False.  They share
+    the budget as if run one after another (restart k gets what the
+    earlier ones left) but advance in lockstep, one batched contraction
+    per slot step; `evaluations` counts d per step on a slot of size d,
+    plus one per start vertex.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     n_vertices = _n_vertices(form.dims)
     if n_vertices <= budget:
         return SupNormResult(_exact_sup(form.coeffs), True, n_vertices)
-
-    best = 0.0
-    used = 0
-    for k in range(ASCENT_RESTARTS):
-        if used >= budget:
-            break
-        rng = np.random.default_rng((_ASCENT_SEED, k))
-        value, evals = _ascent(form.coeffs, rng, budget - used)
-        used += evals
-        best = max(best, value)
-    return SupNormResult(best, False, used)
+    value, used = _ascent_sup(form.coeffs, budget)
+    return SupNormResult(value, False, used)
 
 
 def littlewood2() -> MultilinearForm:

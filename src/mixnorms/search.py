@@ -376,6 +376,12 @@ def optimize_ratio(
             f"dims {dims} needs {n_vertices} sign vertices; exact sup norms "
             f"are affordable only up to {DEFAULT_SUP_BUDGET}"
         )
+    # Every +-1 start has the norm of the all-ones tensor, the largest of
+    # any tensor the search visits; if it overflows, so does every run.
+    with np.errstate(over="ignore"):
+        top = _nested_norm(_blocked_tensor(np.ones(dims), exps)[0], exps.exponents)
+    if math.isinf(top):
+        raise ValueError(f"mixed norm under {exps} overflows float64")
 
     moves = _Moves(dims, exps)
     ratio_fn = _fast_ratio_fn(exps)

@@ -3,9 +3,10 @@
 Everything here is deliberately written with plain Python loops over
 itertools enumerations so it shares no code path with the library: the
 library contracts tensors with numpy, the oracles multiply scalars.
-`half_rademacher` is the exception: it is the library's former chunked
-numpy enumeration, kept to check the split-sum kernel at n too large for
-the scalar loops.
+`half_rademacher` and `sequential_ascent_sup` are the exceptions: they
+are the library's former chunked numpy enumeration and its former
+one-restart-at-a-time sup-norm ascent, kept to check the split-sum and
+lockstep kernels.
 """
 
 import itertools
@@ -94,3 +95,55 @@ def half_rademacher(vectors, r, s):
         norms = (np.abs(sums) ** r).sum(axis=1) ** (1.0 / r)
         partials.append(float((norms ** s).sum()))
     return (math.fsum(partials) / total) ** (1.0 / s)
+
+
+def _slot_gradient(coeffs, signs, slot):
+    """Contract every slot except `slot` with its sign vector."""
+    arr = coeffs
+    for axis in range(coeffs.ndim - 1, -1, -1):
+        if axis != slot:
+            arr = np.tensordot(arr, signs[axis], axes=(axis, 0))
+    return arr
+
+
+def _ascent(coeffs, rng, max_evals):
+    """One run of alternating sign ascent from a random vertex; a step is
+    accepted only when it changes a sign and raises the value."""
+    dims = coeffs.shape
+    signs = [1.0 - 2.0 * rng.integers(0, 2, size=d).astype(float) for d in dims]
+    val = coeffs
+    for v in signs:
+        val = np.tensordot(v, val, axes=(0, 0))
+    value = abs(float(val))
+    evals = 1
+    improved = True
+    while improved:
+        improved = False
+        for slot in range(coeffs.ndim):
+            if evals + dims[slot] > max_evals:
+                return value, evals
+            grad = _slot_gradient(coeffs, signs, slot)
+            evals += dims[slot]
+            new_signs = np.where(grad > 0, 1.0, np.where(grad < 0, -1.0, signs[slot]))
+            new_value = float(np.dot(new_signs, grad))
+            if new_value > value and not np.array_equal(new_signs, signs[slot]):
+                signs[slot] = new_signs
+                value = new_value
+                improved = True
+    return value, evals
+
+
+def sequential_ascent_sup(coeffs, budget, restarts=32, seed=7):
+    """(best value, evaluations) of the heuristic sup norm, its restarts
+    run one after another, restart k seeded with (seed, k) and given the
+    budget the earlier ones left."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    best = 0.0
+    used = 0
+    for k in range(restarts):
+        if used >= budget:
+            break
+        value, evals = _ascent(coeffs, np.random.default_rng((seed, k)), budget - used)
+        used += evals
+        best = max(best, value)
+    return best, used

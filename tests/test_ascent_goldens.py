@@ -1,0 +1,92 @@
+"""Frozen heuristic sup norms.
+
+`ascent_goldens.json` holds the value and evaluation count of `sup_norm`
+on seeded integer-valued forms whose sign grid exceeds the budget, so
+that every case goes through (or is cut short in) the restarted ascent:
+the benchmark's three heuristic shapes, a degree-4 form, degree-1 and
+size-1-slot forms, and `triple221` and small forms under budgets that stop
+the restarts part-way.  They were recorded with the ascent that ran its
+restarts one after another.  On integer-valued forms every contraction is
+exact, so any later ascent must reproduce them bit for bit.
+
+Regenerate (only when a change is meant to move the heuristic) with
+``PYTHONPATH=src python tests/test_ascent_goldens.py``.
+"""
+
+import json
+import pathlib
+
+import numpy as np
+import pytest
+
+from mixnorms import MultilinearForm, random_sign_form, sup_norm, triple221
+
+GOLDENS = pathlib.Path(__file__).with_name("ascent_goldens.json")
+
+#: Budgets that cut the restarts short at different points.
+SMALL_BUDGETS = (1, 5, 40, 500, 5000)
+
+#: (name, dims or None for triple221, seed, budget).  "sign" forms have
+#: entries in {-1, +1}, "int" forms in {-2, ..., 2}.
+CASES = [
+    ("sign", (12, 12), 0, None),
+    ("sign", (64, 64), 1, None),
+    ("sign", (30, 30, 30), 2, None),
+    ("sign", (5, 5, 5, 5), 3, 2 ** 19),
+    ("int", (30,), 4, None),
+    ("int", (1, 25), 5, None),
+    ("int", (25, 1, 3), 6, None),
+] + [
+    (kind, dims, seed, budget)
+    for kind, dims, seed in [
+        ("triple221", None, 0),
+        ("int", (7, 7), 7),
+        ("int", (5, 4, 4), 8),
+        ("int", (4, 3, 3, 3), 9),
+        ("sign", (2, 5, 1, 6), 10),
+        ("int", (14,), 11),
+    ]
+    for budget in SMALL_BUDGETS
+]
+
+
+def _form(kind, dims, seed) -> MultilinearForm:
+    if kind == "triple221":
+        return triple221()
+    if kind == "sign":
+        return random_sign_form(dims, seed)
+    return MultilinearForm(np.random.default_rng(seed).integers(-2, 3, size=dims).astype(float))
+
+
+def _key(case) -> str:
+    kind, dims, seed, budget = case
+    return f"{kind} {dims} seed={seed} budget={budget}"
+
+
+def _run(case) -> dict:
+    kind, dims, seed, budget = case
+    form = _form(kind, dims, seed)
+    res = sup_norm(form) if budget is None else sup_norm(form, budget=budget)
+    return {"value": res.value, "exact": res.exact, "evaluations": res.evaluations}
+
+
+@pytest.fixture(scope="module")
+def goldens():
+    return json.loads(GOLDENS.read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=_key)
+def test_heuristic_sup_is_frozen(case, goldens):
+    assert _run(case) == goldens[_key(case)]
+
+
+def test_goldens_reach_the_heuristic(goldens):
+    # Every case but triple221 (whose 1,024 vertices fit budget 5000) is heuristic.
+    exact = {key for key, want in goldens.items() if want["exact"]}
+    assert exact == {"triple221 None seed=0 budget=5000"}
+
+
+if __name__ == "__main__":
+    doc = {_key(case): _run(case) for case in CASES}
+    GOLDENS.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(doc)} cases to {GOLDENS}")

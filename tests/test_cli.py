@@ -233,6 +233,14 @@ def test_nan_or_overflow_is_domain_error(capsys, argv, message):
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+def test_optimize_overflowing_tuple_is_rejected_up_front(capsys):
+    # Every candidate's norm overflows: one error line, no RuntimeWarning.
+    assert main(["optimize", "--dims", "2,2", "--exps", "2000,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mixed norm under 2000,1 overflows float64\n"
+
+
 def test_norm_huge_budget_stays_exact(tmp_path, capsys):
     path = tmp_path / "big.json"
     save_form(random_sign_form((20, 20), 0), path)

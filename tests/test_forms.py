@@ -18,6 +18,7 @@ from mixnorms import (
     sup_norm,
     triple221,
 )
+from mixnorms.forms import ASCENT_RESTARTS, _ascent_starts
 
 from _oracles import brute_eval, brute_sup
 
@@ -161,6 +162,49 @@ def test_sup_norm_heuristic_often_tight_on_small_forms():
         exact = sup_norm(form).value
         rough = sup_norm(form, budget=10).value
         assert rough == pytest.approx(exact, abs=1e-12)
+
+
+def test_ascent_start_tables_are_read_only_and_bounded():
+    tables = _ascent_starts((3, 1, 4))
+    assert [t.shape for t in tables] == [(ASCENT_RESTARTS, d) for d in (3, 1, 4)]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+    assert _ascent_starts.cache_info().maxsize is not None
+
+
+def test_sup_norm_heuristic_interleaved_dims_agree():
+    _ascent_starts.cache_clear()
+    a, b = random_sign_form((6, 5, 3), 0), random_sign_form((9, 8), 1)
+    first = sup_norm(a, budget=600)
+    other = sup_norm(b, budget=600)
+    assert sup_norm(a, budget=600) == first
+    _ascent_starts.cache_clear()
+    assert sup_norm(b, budget=600) == other
+    assert _ascent_starts.cache_info().currsize == 1
+
+
+def test_sup_norm_heuristic_leaves_coefficients_alone():
+    form = random_sign_form((7, 6, 5), 2)
+    before = form.coeffs.copy()
+    res = sup_norm(form, budget=10_000)
+    assert not res.exact
+    assert not form.coeffs.flags.writeable
+    assert np.array_equal(form.coeffs, before)
+
+
+def test_sup_norm_heuristic_memory_is_bounded_by_the_form():
+    # A small slot: contracting it first would build a 32-fold copy.
+    form = random_sign_form((200, 200, 2), 3)
+    tracemalloc.start()
+    try:
+        res = sup_norm(form)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.exact
+    assert peak < 4 * form.coeffs.nbytes
 
 
 def test_sup_norm_exact_dominates_random_cube_points():

@@ -4,7 +4,8 @@ The exact sup norm, the nested mixed norm and the climb's ratio function
 are checked against the brute-force oracles and the certificate on random
 dims, with the largest slot (and ties) in every position, and the climb's
 batched move scores against the ratio function of each moved tensor.  The
-split-sum Rademacher average is checked against the full enumeration.
+split-sum Rademacher average is checked against the full enumeration, and
+the lockstep heuristic sup norm against its restarts run one by one.
 Hypothesis runs derandomized with a bounded number of examples, so the
 suite stays deterministic and fast.
 """
@@ -23,10 +24,11 @@ from mixnorms import (
     rademacher_average,
     sup_norm,
 )
+from mixnorms.forms import _ascent_sup
 from mixnorms.mixed_norms import _nested_norm, _outer_sums
 from mixnorms.search import _Moves, _climb, _fast_ratio_fn
 
-from _oracles import brute_mixed, brute_rademacher, brute_sup
+from _oracles import brute_mixed, brute_rademacher, brute_sup, sequential_ascent_sup
 
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None, database=None)
 
@@ -66,6 +68,44 @@ def test_exact_sup_matches_brute_force(dims, seed, integer):
         assert result.value == expected  # small integers: no rounding at all
     else:
         assert math.isclose(result.value, expected, rel_tol=1e-12)
+
+
+@PROPERTY
+@given(dims=DIMS.filter(lambda d: sum(d) <= 10), seed=SEEDS, integer=st.booleans(),
+       share=st.floats(0.0, 1.0))
+@example(dims=[1], seed=0, integer=True, share=1.0)
+@example(dims=[1, 1, 1, 1], seed=1, integer=False, share=1.0)
+@example(dims=[4, 1, 3], seed=2, integer=True, share=1.0)
+@example(dims=[1, 4], seed=3, integer=False, share=0.5)
+def test_heuristic_sup_matches_sequential_restarts(dims, seed, integer, share):
+    # Every budget below the grid size, from 1 (share 0) to grid - 1 (share 1).
+    coeffs = _coeffs(dims, seed, integer)
+    budget = 1 + int(share * (2 ** sum(dims) - 2))
+    result = sup_norm(MultilinearForm(coeffs), budget=budget)
+    value, evaluations = sequential_ascent_sup(coeffs, budget)
+    assert result.exact is False
+    assert result.evaluations <= budget
+    if integer:
+        assert (result.value, result.evaluations) == (value, evaluations)
+    else:
+        assert math.isclose(result.value, value, rel_tol=1e-12)
+        assert result.value <= brute_sup(coeffs)[0] * (1 + 1e-12)
+
+
+@PROPERTY
+@given(dims=st.lists(st.integers(1, 7), min_size=1, max_size=4), seed=SEEDS,
+       integer=st.booleans(), budget=st.integers(1, 10 ** 6))
+@example(dims=[7, 1, 7, 1], seed=4, integer=True, budget=10 ** 6)
+@example(dims=[7, 7, 7, 7], seed=5, integer=False, budget=10 ** 6)
+def test_lockstep_ascent_matches_sequential_restarts(dims, seed, integer, budget):
+    # The ascent itself, past the exact-sup dispatch: budgets can let every restart converge.
+    coeffs = _coeffs(dims, seed, integer)
+    got = _ascent_sup(coeffs, budget)
+    value, evaluations = sequential_ascent_sup(coeffs, budget)
+    if integer:
+        assert got == (value, evaluations)
+    else:
+        assert math.isclose(got[0], value, rel_tol=1e-12)
 
 
 def _exponent_tuple(draw, degree):
