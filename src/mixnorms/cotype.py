@@ -27,7 +27,7 @@ import numpy as np
 
 from .constants import _P0_TOL, _khinchin_gamma, solve_p0
 from .forms import _CHUNK, MultilinearForm, _sign_vertices, sup_norm  # noqa: F401 (read by bench/tests)
-from .mixed_norms import ExponentTuple, _nested_norm
+from .mixed_norms import ExponentTuple, _nested_norm, _outer_sums
 from .search import certify
 
 #: Exact sign enumeration bound: instances with more vectors are rejected.
@@ -78,7 +78,9 @@ def rademacher_average(vectors, r: float, s: float) -> float:
     tables A = signs_hi @ X_hi + x_last and B = signs_lo @ X_lo hold at
     most 2^12 rows each, and the pattern with high part j and low part l
     sums to A[j] + B[l].  Blocks of A rows against all of B keep the two
-    block buffers at forms._CHUNK entries whatever n is.
+    block buffers at forms._CHUNK entries whatever n is.  Each block holds
+    the patterns' sums of |.|^r over coordinates, and `_outer_sums` of
+    the mixed-norm kernel takes them to the outer (s, r) level, p^(s/r).
     """
     mat = _as_matrix(vectors)
     n, d = mat.shape
@@ -106,9 +108,7 @@ def rademacher_average(vectors, r: float, s: float) -> float:
             out **= r
             if i:
                 acc += term
-        acc **= 1.0 / r
-        acc **= s
-        partials.append(float(acc.sum()))
+        partials.append(float(_outer_sums(acc, (s, r)).sum()))
     return (math.fsum(partials) / 2 ** (n - 1)) ** (1.0 / s)
 
 

@@ -21,7 +21,7 @@ recomputes the full ratio for every trial point.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .forms import (
     _exact_sup,
     _n_vertices,
     _random_signs,
-    _sign_rows,
+    _sign_vertices,
     _slot_order,
     lift,
     sup_norm,
@@ -79,12 +79,7 @@ class EquivalenceReport:
     holds: bool
 
 
-def certify(
-    form: MultilinearForm,
-    exps: ExponentTuple,
-    seed: int | None = None,
-    budget: int | None = None,
-) -> RatioCertificate:
+def certify(form: MultilinearForm, exps: ExponentTuple) -> RatioCertificate:
     """Ratio certificate for one form under one exponent tuple."""
     if not np.any(form.coeffs):
         raise ValueError("cannot certify the zero form")
@@ -98,8 +93,6 @@ def certify(
         sup=sup.value,
         ratio=mixed / sup.value,
         sup_exact=sup.exact,
-        seed=seed,
-        budget=budget,
     )
 
 
@@ -140,46 +133,39 @@ class _Moves:
 
     The sup norm takes the largest slot in closed form, as `_exact_sup`
     does: with G (P x d_last) the contraction of the coefficients with
-    each of the P sign rows of the other slots (one sign of each fixed),
-    the sup is the largest row l1 norm R of G.  Entry i only feeds column
-    l_i of G, through its Kronecker sign column s_i, so moving it by delta
-    changes G[:, l_i] by delta * s_i and R by the change of |G[:, l_i]|.
-    The nested norm keeps F, the innermost fiber sums of |blocked|^q_last;
-    a move changes one entry of F (none when the entry is off every block
-    diagonal), and the upper levels are recomputed by `_outer_sums`, the
-    helper of `_nested_norm`.  With coefficients in {-1, 0, +1}, G, R and F
-    hold small integers, so every update is exact and each score equals
-    `_fast_ratio_fn` of the moved tensor bit for bit.
+    each of the P sign rows of the other slots (one sign of each fixed;
+    the first half of each slot's cached `_sign_vertices` table, the rows
+    `_max_l1` reads), the sup is the largest row l1 norm R of G.  Entry i
+    only feeds column l_i of G, through its Kronecker sign column s_i, so
+    moving it by delta changes G[:, l_i] by delta * s_i and R by the
+    change of |G[:, l_i]|.  The nested norm keeps F, the innermost fiber
+    sums of |blocked|^q_last; a move changes one entry of F (none when the
+    entry is off every block diagonal), and the upper levels are
+    recomputed by `_outer_sums`, the helper of `_nested_norm`.  The fiber
+    each entry feeds is read off `_blocked_tensor` of the tensor of flat
+    entry indices, the layout `mixed_norm` blocks with.  With coefficients
+    in {-1, 0, +1}, G, R and F hold small integers, so every update is
+    exact and each score equals `_fast_ratio_fn` of the moved tensor bit
+    for bit.
     """
 
     def __init__(self, dims: tuple[int, ...], exps: ExponentTuple):
-        m = len(dims)
         self.order = _slot_order(dims)
         *head, last = self.order
-        self.tables = [_sign_rows(dims[i], 0, 2 ** (dims[i] - 1)) for i in head]
-        index = np.indices(dims).reshape(m, -1)
+        self.tables = [_sign_vertices(dims[i])[:2 ** (dims[i] - 1)] for i in head]
+        index = np.indices(dims).reshape(len(dims), -1)
         self.column = index[last]
         # Row i of slot_signs[j]: the sign each row of table j gives entry i.
         self.slot_signs = [t[:, index[i]].T for t, i in zip(self.tables, head)]
         n_rows = math.prod(len(t) for t in self.tables)
 
-        on = np.ones(index.shape[1], dtype=bool)
-        fiber_index = []
-        fiber_shape = []
-        pos = 0
-        for n, _ in exps.blocks:
-            on &= (index[pos:pos + n] == index[pos]).all(axis=0)
-            fiber_index.append(index[pos])
-            fiber_shape.append(min(dims[pos:pos + n]))
-            pos += n
-        self.fiber_shape = tuple(fiber_shape[:-1])
-        fiber = 0
-        if exps.k > 1:
-            # Off-diagonal entries of a ragged block can index past the
-            # blocked shape; clipping keeps them in range until masked.
-            fiber = np.ravel_multi_index(fiber_index[:-1], self.fiber_shape, mode="clip")
-        self.fiber = np.where(on, fiber, -1)
+        # Blocking the flat entry indices lists the entries each innermost
+        # fiber sums; entries off every block diagonal keep fiber -1.
+        blocked, _ = _blocked_tensor(np.arange(index.shape[1]).reshape(dims), exps)
+        self.fiber_shape = blocked.shape[:-1]
         self.fibers = np.arange(math.prod(self.fiber_shape))
+        self.fiber = np.full(index.shape[1], -1)
+        self.fiber[blocked.reshape(self.fibers.size, -1)] = self.fibers[:, None]
 
         self.exps = exps
         self.exponents = exps.exponents
@@ -403,7 +389,7 @@ def optimize_ratio(
         k += 1
 
     found = MultilinearForm(best_coeffs, label=f"optimized{dims}")
-    return certify(found, exps, seed=seed, budget=budget)
+    return replace(certify(found, exps), seed=seed, budget=budget)
 
 
 def growth_witness(

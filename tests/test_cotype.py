@@ -51,6 +51,12 @@ def test_orthonormal_pair_l2_average():
     assert value == pytest.approx(SQRT2, rel=1e-12)
 
 
+def test_average_of_a_skew_pair_is_correctly_rounded():
+    # Exactly 4.17051156385963132514...; each pattern's outer level is the
+    # mixed-norm kernel's single power p^(s/r).
+    assert rademacher_average([[1, 2], [3, -1]], 1.5, 2) == 4.170511563859631
+
+
 def test_average_matches_oracle_on_random_families():
     rng = np.random.default_rng(77)
     for _ in range(10):

@@ -191,6 +191,8 @@ def _dims_and_tuple(draw):
 @given(case=_dims_and_tuple(), seed=SEEDS, zeros=ZEROS)
 @example(case=([2, 2, 2], ExponentTuple.parse("2:1|1:2")), seed=0, zeros=0.9)
 @example(case=([3, 2, 2], ExponentTuple.parse("2:1|1:2")), seed=1, zeros=0.3)  # ragged block
+@example(case=([2, 3, 2], ExponentTuple.parse("3:1")), seed=2, zeros=0.3)  # one ragged block
+@example(case=([3], ExponentTuple.parse("1")), seed=3, zeros=0.3)  # degree 1
 def test_move_scores_match_ratio_of_moved_tensor(case, seed, zeros):
     dims, exps = case
     coeffs = _sign_tensor(dims, seed, zeros)
