@@ -388,19 +388,24 @@ def permute_slots(form: MultilinearForm, order: Sequence[int]) -> MultilinearFor
     return MultilinearForm(np.transpose(form.coeffs, order), label=form.label)
 
 
-def _random_signs(dims: Sequence[int], seed) -> np.ndarray:
-    """Writable tensor of i.i.d. coefficients in {-1, +1}, the coefficients
-    of `random_sign_form(dims, seed)`."""
+def _checked_dims(dims: Sequence[int]) -> tuple[int, ...]:
+    """`dims` as a tuple of ints; raises unless it is nonempty and positive."""
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"dims must be nonempty and positive, got {dims}")
+    return dims
+
+
+def _random_signs(dims: tuple[int, ...], seed) -> np.ndarray:
+    """Writable tensor of i.i.d. coefficients in {-1, +1}, the coefficients
+    of `random_sign_form(dims, seed)`; `dims` must already be checked."""
     rng = np.random.default_rng(seed)
     return 2.0 * rng.integers(0, 2, size=dims).astype(float) - 1.0
 
 
 def random_sign_form(dims: Sequence[int], seed) -> MultilinearForm:
     """Deterministic form with i.i.d. coefficients in {-1, +1}."""
-    coeffs = _random_signs(dims, seed)
+    coeffs = _random_signs(_checked_dims(dims), seed)
     return MultilinearForm(coeffs, label=f"random_sign{coeffs.shape}")
 
 

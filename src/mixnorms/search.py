@@ -31,6 +31,7 @@ from .forms import (
     DEFAULT_SUP_BUDGET,
     MultilinearForm,
     _CHUNK,
+    _checked_dims,
     _exact_sup,
     _n_vertices,
     _random_signs,
@@ -247,6 +248,12 @@ def _climb(coeffs: np.ndarray, moves: _Moves, budget: int) -> tuple[np.ndarray, 
     an acceptance the batch is dropped and scoring resumes at the next
     entry.  A value equal to the entry's value before its scan scores the
     ratio the scan started from.
+
+    The climb is a pure function of its start and budget, and a run that
+    spends s evaluations under budget b returns the same tensor, ratio and
+    count under every budget from s to b.  In a run that ends at a local
+    optimum no budget check fires, and a run that stops on its budget has
+    s = b.  `optimize_ratio` memoises climbs on this.
     """
     state = moves.start(coeffs)
     current = moves.base(state)
@@ -290,13 +297,17 @@ def _climb(coeffs: np.ndarray, moves: _Moves, budget: int) -> tuple[np.ndarray, 
 
 def _refine(coeffs: np.ndarray, ratio_fn, budget: int) -> tuple[np.ndarray, float, int]:
     """Coordinatewise continuous polish: golden-section line search on each
-    entry over [-1.5, 1.5], two sweeps, strict improvements only."""
+    entry over [-1.5, 1.5], two sweeps, strict improvements only.  Stops
+    before a line search that cannot open within the budget, so it never
+    spends more than `budget` evaluations."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     current = ratio_fn(coeffs)
     used = 1
     flat = coeffs.ravel()
     for _ in range(2):
         for i in range(flat.size):
+            if used + 2 > budget:
+                return coeffs, current, used
             old = flat[i]
             a, b = -1.5, 1.5
             c = b - inv_phi * (b - a)
@@ -326,8 +337,6 @@ def _refine(coeffs: np.ndarray, ratio_fn, budget: int) -> tuple[np.ndarray, floa
                 current = f_best
             else:
                 flat[i] = old
-            if used >= budget:
-                return coeffs, current, used
     return coeffs, current, used
 
 
@@ -346,8 +355,16 @@ def optimize_ratio(
     evaluations are spent (or `restarts` runs, if given).  Ties between
     restarts resolve to the later seed, so the result is independent of
     evaluation order.  Deterministic for fixed arguments.
+
+    Small dims draw the same start many times, so the call keeps each
+    start's climb (final tensor, ratio, evaluations) and reuses it, charging
+    its evaluations, while they fit the budget left; otherwise the climb
+    reruns on what is left.  Since a climb gives the same result under
+    every budget it did not reach, this changes no result.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _checked_dims(dims)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if exps.degree != len(dims):
         raise ValueError(
             f"exponent tuple covers {exps.degree} slots but dims has {len(dims)}"
@@ -371,13 +388,21 @@ def optimize_ratio(
 
     moves = _Moves(dims, exps)
     ratio_fn = _fast_ratio_fn(exps)
+    climbs: dict[bytes, tuple[bytes, float, int]] = {}
     best_key: tuple[float, int] | None = None
     best_coeffs: np.ndarray | None = None
     used = 0
     k = 0
     while used < budget and (restarts is None or k < restarts):
         coeffs = _random_signs(dims, seed + k)
-        coeffs, ratio, spent = _climb(coeffs, moves, budget - used)
+        start = np.packbits(coeffs > 0).tobytes()
+        cached = climbs.get(start)
+        if cached is not None and cached[2] <= budget - used:
+            final, ratio, spent = cached
+            coeffs = np.frombuffer(final, dtype=np.int8).reshape(dims).astype(float)
+        else:
+            coeffs, ratio, spent = _climb(coeffs, moves, budget - used)
+            climbs[start] = (coeffs.astype(np.int8).tobytes(), ratio, spent)
         used += spent
         if refine and used < budget:
             coeffs, ratio, spent = _refine(coeffs, ratio_fn, budget - used)

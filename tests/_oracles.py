@@ -3,16 +3,20 @@
 Everything here is deliberately written with plain Python loops over
 itertools enumerations so it shares no code path with the library: the
 library contracts tensors with numpy, the oracles multiply scalars.
-`half_rademacher` and `sequential_ascent_sup` are the exceptions: they
-are the library's former chunked numpy enumeration and its former
-one-restart-at-a-time sup-norm ascent, kept to check the split-sum and
-lockstep kernels.
+`half_rademacher`, `sequential_ascent_sup` and `sequential_optimize` are
+the exceptions: they are the library's former chunked numpy enumeration,
+its former one-restart-at-a-time sup-norm ascent and its former restart
+loop without a climb memo, kept to check the split-sum and lockstep
+kernels and the memoised search.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from mixnorms.forms import _random_signs
+from mixnorms.search import _Moves, _climb, _fast_ratio_fn, _refine
 
 
 def brute_eval(coeffs, points):
@@ -147,3 +151,27 @@ def sequential_ascent_sup(coeffs, budget, restarts=32, seed=7):
         used += evals
         best = max(best, value)
     return best, used
+
+
+def sequential_optimize(dims, exps, budget, seed, restarts=None, refine=False):
+    """(witness, ratio) of `optimize_ratio`'s restarts with no climb memo:
+    restart k draws its start from seed + k, climbs it with the budget the
+    earlier restarts left and, with `refine`, polishes it; ties between
+    restarts go to the later seed."""
+    dims = tuple(dims)
+    moves = _Moves(dims, exps)
+    ratio_fn = _fast_ratio_fn(exps)
+    best_key = best_coeffs = None
+    used = 0
+    k = 0
+    while used < budget and (restarts is None or k < restarts):
+        coeffs, ratio, spent = _climb(_random_signs(dims, seed + k), moves, budget - used)
+        used += spent
+        if refine and used < budget:
+            coeffs, ratio, spent = _refine(coeffs, ratio_fn, budget - used)
+            used += spent
+        if best_key is None or (ratio, seed + k) > best_key:
+            best_key = (ratio, seed + k)
+            best_coeffs = coeffs.copy()
+        k += 1
+    return best_coeffs, best_key[0]

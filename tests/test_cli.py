@@ -183,6 +183,9 @@ def test_p0_nan_tolerance_is_domain_error(capsys):
     ["optimize", "--dims", "2,2", "--exps", "1,2", "--restarts", "-3"],
     ["growth", "--exps", "1,2", "--n-list", "2", "--trials", "0"],
     ["bh-bound", "--m", "100001"],
+    ["optimize", "--dims", "0,2", "--exps", "1,2"],
+    ["growth", "--exps", "1,2", "--n-list", "0"],
+    ["optimize", "--dims", "2,2", "--exps", "1,2", "--seed", "-1"],
 ])
 def test_out_of_range_count_is_domain_error(capsys, argv):
     assert main(argv) == 1

@@ -5,12 +5,15 @@ are checked against the brute-force oracles and the certificate on random
 dims, with the largest slot (and ties) in every position, and the climb's
 batched move scores against the ratio function of each moved tensor.  The
 split-sum Rademacher average is checked against the full enumeration, and
-the lockstep heuristic sup norm against its restarts run one by one.
+the lockstep heuristic sup norm against its restarts run one by one.  The
+climb returns the same result under every budget it did not reach, and
+the optimizer's climb memo changes no result of the restart loop.
 Hypothesis runs derandomized with a bounded number of examples, so the
 suite stays deterministic and fast.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,14 +24,22 @@ from mixnorms import (
     MultilinearForm,
     certify,
     mixed_norm,
+    optimize_ratio,
     rademacher_average,
+    search,
     sup_norm,
 )
 from mixnorms.forms import _ascent_sup
 from mixnorms.mixed_norms import _nested_norm, _outer_sums
 from mixnorms.search import _Moves, _climb, _fast_ratio_fn
 
-from _oracles import brute_mixed, brute_rademacher, brute_sup, sequential_ascent_sup
+from _oracles import (
+    brute_mixed,
+    brute_rademacher,
+    brute_sup,
+    sequential_ascent_sup,
+    sequential_optimize,
+)
 
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None, database=None)
 
@@ -277,3 +288,80 @@ def test_climb_follows_the_per_candidate_trajectory(case, seed, zeros, budget, b
     want = _reference_climb(coeffs.copy(), _fast_ratio_fn(exps), budget)
     assert np.array_equal(got[0], want[0])
     assert got[1:] == want[1:]
+
+
+@pytest.mark.filterwarnings("ignore::mixnorms.RaggedBlockWarning")
+@PROPERTY
+@given(data=st.data(), case=_dims_and_tuple(), seed=SEEDS, zeros=ZEROS,
+       budget=st.integers(1, 400))
+def test_climb_is_the_same_under_every_budget_it_did_not_reach(data, case, seed, zeros, budget):
+    # the invariant the optimizer's climb memo rests on
+    dims, exps = case
+    coeffs = _sign_tensor(dims, seed, zeros)
+    moves = _Moves(tuple(dims), exps)
+    want = _climb(coeffs.copy(), moves, budget)
+    got = _climb(coeffs.copy(), moves, data.draw(st.integers(want[2], budget)))
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+
+
+@st.composite
+def _small_dims_and_tuple(draw):
+    """At most 8 entries, so random sign starts repeat within one call."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                .filter(lambda d: math.prod(d) <= 8))
+    return dims, _exponent_tuple(draw, len(dims))
+
+
+#: (2, 2) `1,2` budget-20 runs in which a start repeats after the budget
+#: left has fallen below its cached count, so the memo reruns its climb.
+RERUN_SEEDS = [1, 18]
+
+
+@pytest.mark.filterwarnings("ignore::mixnorms.RaggedBlockWarning")
+@PROPERTY
+@given(case=_small_dims_and_tuple() | _dims_and_tuple(), seed=SEEDS,
+       budget=st.integers(1, 2_000), restarts=st.sampled_from([None, 1, 3, 7]),
+       refine=st.booleans())
+@example(case=([2, 2], ExponentTuple.parse("1,2")), seed=RERUN_SEEDS[0], budget=20,
+         restarts=None, refine=False)
+@example(case=([2, 2], ExponentTuple.parse("1,2")), seed=RERUN_SEEDS[1], budget=20,
+         restarts=None, refine=False)
+@example(case=([2, 2], ExponentTuple.parse("1,2")), seed=0, budget=10_000,
+         restarts=None, refine=True)
+def test_optimize_equals_the_memo_free_restart_loop(case, seed, budget, restarts, refine):
+    dims, exps = case
+    with mock.patch.object(search, "certify", wraps=search.certify) as spy:
+        cert = optimize_ratio(dims, exps, budget=budget, seed=seed, restarts=restarts,
+                              refine=refine)
+    witness, ratio = sequential_optimize(dims, exps, budget, seed, restarts, refine)
+    assert np.array_equal(spy.call_args.args[0].coeffs, witness)
+    want = certify(MultilinearForm(witness), exps)
+    assert (cert.ratio, cert.mixed, cert.sup) == (want.ratio, want.mixed, want.sup)
+    assert cert.ratio == ratio
+
+
+def _climbed_starts(dims, exps, budget, seed):
+    """The start tensor of every climb one `optimize_ratio` call runs."""
+    starts = []
+
+    def climb(coeffs, moves, left):
+        starts.append(coeffs.tobytes())
+        return _climb(coeffs, moves, left)
+
+    with mock.patch.object(search, "_climb", climb):
+        optimize_ratio(dims, exps, budget=budget, seed=seed)
+    return starts
+
+
+@pytest.mark.parametrize("seed", RERUN_SEEDS)
+def test_memo_reruns_a_start_whose_count_no_longer_fits(seed):
+    starts = _climbed_starts((2, 2), ExponentTuple.parse("1,2"), 20, seed)
+    assert len(set(starts)) < len(starts)
+
+
+def test_memo_climbs_each_distinct_start_once():
+    # 16 distinct +-1 starts on 2 x 2 and one budget-cut rerun at the end,
+    # against 756 climbs without the memo
+    starts = _climbed_starts((2, 2), ExponentTuple.parse("1,2"), 10_000, 0)
+    assert len(starts) <= 17

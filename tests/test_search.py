@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from mixnorms import (
     mixed_norm,
     optimize_ratio,
     random_sign_form,
+    search,
     sqrt2_baseline,
     sup_norm,
     triple221,
 )
+from mixnorms.search import _fast_ratio_fn, _refine
 
 SQRT2 = math.sqrt(2.0)
 
@@ -161,6 +164,12 @@ def test_optimize_validates_arguments():
         optimize_ratio((2, 2), ExponentTuple.parse("1,2"), budget=0, seed=0)
     with pytest.raises(ValueError, match="slots"):
         optimize_ratio((2, 2), ExponentTuple.parse("1,2,2"), budget=10, seed=0)
+    with pytest.raises(ValueError, match=r"dims must be nonempty and positive, got \(0, 2\)"):
+        optimize_ratio((0, 2), ExponentTuple.parse("1,2"), budget=10, seed=0)
+    with pytest.raises(ValueError, match=r"dims must be nonempty and positive, got \(\)"):
+        optimize_ratio((), ExponentTuple.parse("1"), budget=10, seed=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        optimize_ratio((2, 2), ExponentTuple.parse("1,2"), budget=10, seed=-1)
 
 
 @pytest.mark.parametrize("restarts", [0, -3])
@@ -190,6 +199,55 @@ def test_optimize_memory_stays_bounded_on_the_largest_dims(dims, exps):
         tracemalloc.stop()
     assert cert.sup_exact
     assert peak < 8 * 2 ** 20
+
+
+def test_optimize_memo_memory_stays_bounded():
+    # the climb memo keeps one compact entry per distinct start: 25 sign
+    # bits, 25 int8 entries, the ratio and the evaluations spent
+    exps = ExponentTuple.parse("1,2")
+    optimize_ratio((5, 5), exps, budget=100, seed=1)  # warm the per-dims caches
+    tracemalloc.start()
+    try:
+        optimize_ratio((5, 5), exps, budget=100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 2 ** 10
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+def test_refine_never_spends_more_than_its_budget(dims):
+    ratio_fn = _fast_ratio_fn(ExponentTuple.parse("1,2"))
+    for budget in range(1, 61):
+        calls = 0
+
+        def counting(coeffs):
+            nonlocal calls
+            calls += 1
+            return ratio_fn(coeffs)
+
+        _, _, used = _refine(random_sign_form(dims, budget).coeffs.copy(), counting, budget)
+        assert used <= budget
+        assert used == calls
+
+
+def test_optimize_refine_never_overspends():
+    # the climb and the polish share the budget; the polish must stop
+    # before a line search whose two opening evaluations do not fit
+    spent = []
+
+    def counted(step):
+        def run(*args):
+            result = step(*args)
+            spent.append(result[2])
+            return result
+        return run
+
+    with mock.patch.object(search, "_climb", counted(search._climb)), \
+            mock.patch.object(search, "_refine", counted(search._refine)):
+        optimize_ratio((2, 2), ExponentTuple.parse("1,2"), budget=10, seed=0, refine=True)
+    assert len(spent) == 2
+    assert sum(spent) <= 10
 
 
 def test_optimize_refine_does_not_hurt():
