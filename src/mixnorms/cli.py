@@ -2,8 +2,10 @@
 
 Every library operation is exposed as a subcommand; results print as
 ``key = value`` lines (floats at 12 significant digits) or, with
-``--json``, as exactly one JSON document on standard output.  Exit codes:
-0 ok, 1 domain error (bad file, precondition violation), 2 usage error.
+``--json``, as exactly one JSON document on standard output.  `main`
+returns the exit code: 0 ok (``--help`` too), 1 domain error (bad file,
+precondition violation; one ``error:`` line on stderr), 2 usage error
+(argparse prints the usage and the problem on stderr).
 
 Form arguments resolve built-in catalog names first (littlewood2,
 triple221); an ``@`` prefix forces reading a JSON form file, and unknown
@@ -18,26 +20,10 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import constants, cotype, forms, mixed_norms, search
 from .mixed_norms import ExponentTuple, RaggedBlockWarning, parse_number
-
-
-class UsageError(Exception):
-    """Bad command line: unknown flag, missing argument, bad syntax."""
-
-
-@dataclass(frozen=True)
-class CommandOutcome:
-    status: str  # "ok" | "error"
-    payload: dict | None
-    message: str = ""
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would sys.exit(2) on its own
-        raise UsageError(f"{message}\n{self.format_usage()}")
 
 
 def _resolve_form(name_or_path: str) -> forms.MultilinearForm:
@@ -144,8 +130,8 @@ def _catalog(args) -> dict:
     return {"files": written}
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="mixnorms", description=__doc__.splitlines()[0])
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="mixnorms", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
@@ -224,26 +210,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> dict:
-    return {"command": args.command, **args.handler(args)}
-
-
-def _execute(args: argparse.Namespace) -> CommandOutcome:
-    try:
-        return CommandOutcome("ok", _dispatch(args))
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        return CommandOutcome("error", None, str(exc))
-
-
-def run(argv) -> CommandOutcome:
-    """Parse and execute; domain failures become an error outcome.
-
-    Usage-level problems (unknown flags, malformed invocations) raise
-    UsageError instead, so callers can distinguish exit code 2 from 1.
-    """
-    return _execute(_build_parser().parse_args(argv))
-
-
 def _format_value(value) -> str:
     if isinstance(value, bool) or not isinstance(value, float):
         return str(value)
@@ -262,20 +228,20 @@ def _print_text(payload: dict) -> None:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    """Run one command line (default: sys.argv[1:]) and return its exit code."""
     try:
         args = _build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    outcome = _execute(args)
-    if outcome.status != "ok":
-        print(f"error: {outcome.message}", file=sys.stderr)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return exc.code
+    try:
+        payload = {"command": args.command, **args.handler(args)}
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(outcome.payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        _print_text(outcome.payload)
+        _print_text(payload)
     return 0
 
 

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .mixed_norms import ExponentTuple
 
 _SQRT_PI = math.sqrt(math.pi)
 
-#: Branch point of the Khinchin constant formulas, cached at x-tolerance 1e-13.
+#: x-tolerance of `_P0`, the branch point of the Khinchin constant formulas.
 _P0_TOL = 1e-13
 
 #: Largest degree `bh_upper_bound` accepts: its recursion takes one step
@@ -53,7 +52,6 @@ class InterpolationResult:
     weights: tuple[float, ...]
 
 
-@lru_cache(maxsize=None)
 def solve_p0(tol: float) -> float:
     """Root of Gamma((p+1)/2) = sqrt(pi)/2 in (1.5, 2), located to within
     `tol` by bisection.
@@ -81,6 +79,9 @@ def solve_p0(tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+_P0 = solve_p0(_P0_TOL)
+
+
 def _khinchin_flat(p: float) -> float:
     return 2.0 ** (0.5 - 1.0 / p)
 
@@ -99,8 +100,7 @@ def khinchin_A(p: float) -> KhinchinValue:
     """
     if not 0.0 < p <= 2.0:
         raise ValueError(f"Khinchin constant defined for 0 < p <= 2, got {p}")
-    p0 = solve_p0(_P0_TOL)
-    if p <= p0:
+    if p <= _P0:
         return KhinchinValue(p, _khinchin_flat(p), "flat")
     return KhinchinValue(p, _khinchin_gamma(p), "gamma")
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import _P0_TOL, _khinchin_gamma, solve_p0
-from .forms import _CHUNK, MultilinearForm, _sign_vertices, sup_norm  # noqa: F401 (read by bench/tests)
+from .constants import _P0, _khinchin_gamma
+from .forms import _CHUNK, MultilinearForm, _is_number, _sign_vertices, sup_norm  # noqa: F401 (read by bench/tests)
 from .mixed_norms import ExponentTuple, _nested_norm, _outer_sums
 from .search import certify
 
@@ -154,7 +154,7 @@ def cotype_bounds(r: float) -> CotypeBounds:
     if not 1.0 <= r <= 2.0:
         raise ValueError(f"bounds defined for 1 <= r <= 2, got {r}")
     lower = 2.0 ** (1.0 / r - 0.5)
-    sharp = r <= solve_p0(_P0_TOL) + SHARP_EDGE
+    sharp = r <= _P0 + SHARP_EDGE
     # max() only absorbs rounding noise: the true constant is >= lower, so
     # raising a computed upper bound to lower keeps it valid (at r = 2 the
     # gamma branch evaluates one ulp below 1).
@@ -184,11 +184,14 @@ def bilinear_cotype_certificate(form: MultilinearForm, r: float) -> float:
 
 def instance_from_dict(doc: dict) -> CotypeInstance:
     try:
-        r = float(doc["r"])
-        s = float(doc["s"])
-        vectors = doc["vectors"]
+        r, s, vectors = doc["r"], doc["s"], doc["vectors"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"instance document needs r, s and vectors: {exc}") from exc
+    if not (_is_number(r) and _is_number(s)):
+        raise ValueError(f"instance r and s must be numbers, got {r!r}, {s!r}")
+    if not (isinstance(vectors, list)
+            and all(isinstance(v, list) and all(map(_is_number, v)) for v in vectors)):
+        raise ValueError("instance vectors must be a list of lists of numbers")
     return make_instance(vectors, r, s)
 
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -165,9 +166,10 @@ def _max_l1(arr: np.ndarray, dims: tuple[int, ...], j: int) -> float:
     return best
 
 
-def _n_vertices(dims: Sequence[int]) -> int:
-    """Number of sign vertices of the product of the slots' unit balls."""
-    return 2 ** sum(dims)
+def _affordable(dims: Sequence[int], budget: int) -> bool:
+    """Whether the 2^sum(dims) sign vertices of the slots' unit balls fit
+    `budget`, decided from the exponent without building the power."""
+    return sum(dims) < int(budget).bit_length()
 
 
 def _slot_order(dims: Sequence[int]) -> list[int]:
@@ -342,9 +344,8 @@ def sup_norm(form: MultilinearForm, budget: int = DEFAULT_SUP_BUDGET) -> SupNorm
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    n_vertices = _n_vertices(form.dims)
-    if n_vertices <= budget:
-        return SupNormResult(_exact_sup(form.coeffs), True, n_vertices)
+    if _affordable(form.dims, budget):
+        return SupNormResult(_exact_sup(form.coeffs), True, 2 ** sum(form.dims))
     value, used = _ascent_sup(form.coeffs, budget)
     return SupNormResult(value, False, used)
 
@@ -425,13 +426,26 @@ def form_to_dict(form: MultilinearForm) -> dict:
     return doc
 
 
+def _is_int(x) -> bool:
+    """Whether `x` is a JSON integer (bool is not)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """Whether `x` is a JSON number that converts to float64 (bool is not)."""
+    return isinstance(x, float) or _is_int(x) and abs(x) <= sys.float_info.max
+
+
 def form_from_dict(doc: dict) -> MultilinearForm:
     try:
-        degree = int(doc["degree"])
-        dims = tuple(int(d) for d in doc["dims"])
-        entries = doc["entries"]
+        degree, dims, entries = doc["degree"], doc["dims"], doc["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"form document needs degree, dims and entries: {exc}") from exc
+    if not (_is_int(degree) and isinstance(dims, list) and all(map(_is_int, dims))):
+        raise ValueError(
+            f"form degree must be an integer and dims a list of integers, got {degree!r}, {dims!r}"
+        )
+    dims = tuple(dims)
     if degree != len(dims):
         raise ValueError(f"degree {degree} does not match {len(dims)} dims")
     if not isinstance(entries, list):
@@ -439,13 +453,13 @@ def form_from_dict(doc: dict) -> MultilinearForm:
     coeffs = np.zeros(dims)
     seen = set()
     for entry in entries:
-        try:
-            idx = tuple(int(j) for j in entry["index"])
-            value = float(entry["value"])
-        except (KeyError, TypeError, ValueError) as exc:
+        idx = entry.get("index") if isinstance(entry, dict) else None
+        if not (isinstance(idx, list) and all(map(_is_int, idx))
+                and _is_number(entry.get("value"))):
             raise ValueError(
                 f"form entry {entry!r} needs an integer index list and a numeric value"
-            ) from exc
+            )
+        idx, value = tuple(idx), entry["value"]
         if len(idx) != degree:
             raise ValueError(f"index {list(idx)} must have {degree} coordinates")
         if any(j < 1 or j > d for j, d in zip(idx, dims)):

@@ -31,9 +31,9 @@ from .forms import (
     DEFAULT_SUP_BUDGET,
     MultilinearForm,
     _CHUNK,
+    _affordable,
     _checked_dims,
     _exact_sup,
-    _n_vertices,
     _random_signs,
     _sign_vertices,
     _slot_order,
@@ -373,10 +373,9 @@ def optimize_ratio(
         raise ValueError(f"budget must be >= 1, got {budget}")
     if restarts is not None and restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    n_vertices = _n_vertices(dims)
-    if n_vertices > DEFAULT_SUP_BUDGET:
+    if not _affordable(dims, DEFAULT_SUP_BUDGET):
         raise ValueError(
-            f"dims {dims} needs {n_vertices} sign vertices; exact sup norms "
+            f"dims {dims} need 2^{sum(dims)} sign vertices; exact sup norms "
             f"are affordable only up to {DEFAULT_SUP_BUDGET}"
         )
     # Every +-1 start has the norm of the all-ones tensor, the largest of

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -6,19 +8,22 @@ import sys
 import pytest
 
 from mixnorms import load_form, random_sign_form, save_form
-from mixnorms.cli import CommandOutcome, UsageError, main, run
+from mixnorms.cli import main
 
 SQRT2 = math.sqrt(2.0)
 
 
 def run_ok(argv):
-    outcome = run(argv)
-    assert outcome.status == "ok", outcome.message
-    return outcome.payload
+    """Payload of `main([*argv, "--json"])`, which must exit 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--json"])
+    assert code == 0, err.getvalue()
+    return json.loads(out.getvalue())
 
 
 # ---------------------------------------------------------------------------
-# subcommands through run()
+# subcommands through main(..., "--json")
 # ---------------------------------------------------------------------------
 
 def test_norm_littlewood2():
@@ -138,24 +143,23 @@ def test_form_file_resolution(tmp_path):
 # errors and exit codes
 # ---------------------------------------------------------------------------
 
-def test_unknown_form_is_domain_error():
-    outcome = run(["norm", "--form", "nonexistent"])
-    assert outcome.status == "error"
-    assert "nonexistent" in outcome.message
-    assert outcome.payload is None
+def test_unknown_form_is_domain_error(capsys):
+    assert main(["norm", "--form", "nonexistent", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "nonexistent" in captured.err
 
 
-def test_bad_exponent_token_is_domain_error():
-    outcome = run(["mixed", "--form", "littlewood2", "--exps", "1,zap"])
-    assert outcome.status == "error"
-    assert "zap" in outcome.message
+def test_bad_exponent_token_is_domain_error(capsys):
+    assert main(["mixed", "--form", "littlewood2", "--exps", "1,zap", "--json"]) == 1
+    assert "zap" in capsys.readouterr().err
 
 
-def test_malformed_form_file_is_domain_error(tmp_path):
+def test_malformed_form_file_is_domain_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    outcome = run(["norm", "--form", f"@{path}"])
-    assert outcome.status == "error"
+    assert main(["norm", "--form", f"@{path}", "--json"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("entry", [
@@ -165,6 +169,12 @@ def test_malformed_form_file_is_domain_error(tmp_path):
     {"index": [1, 1], "value": None},
     {"index": ["a", 1], "value": 1.0},
     [1, 1, 1.0],
+    {"index": "11", "value": 1.0},
+    {"index": [2.9, 1], "value": 1.0},
+    {"index": [True, 1], "value": 1.0},
+    {"index": [1, 1], "value": True},
+    {"index": [1, 1], "value": "1.5"},
+    {"index": [1, 1], "value": 10 ** 400},
 ])
 def test_malformed_form_entry_is_domain_error(tmp_path, capsys, entry):
     path = tmp_path / "bad.json"
@@ -186,12 +196,15 @@ def test_p0_nan_tolerance_is_domain_error(capsys):
     ["optimize", "--dims", "0,2", "--exps", "1,2"],
     ["growth", "--exps", "1,2", "--n-list", "0"],
     ["optimize", "--dims", "2,2", "--exps", "1,2", "--seed", "-1"],
+    ["optimize", "--dims", "20000,1", "--exps", "1,2"],
+    ["growth", "--exps", "1,2", "--n-list", "5000"],
 ])
 def test_out_of_range_count_is_domain_error(capsys, argv):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 @pytest.mark.parametrize("argv", [
@@ -254,11 +267,25 @@ def test_norm_huge_budget_stays_exact(tmp_path, capsys):
     assert doc["value"] == 126.0  # checked by a chunked enumeration in test_forms
 
 
-def test_unknown_flag_raises_usage_error():
-    with pytest.raises(UsageError):
-        run(["norm", "--form", "littlewood2", "--frobnicate"])
-    with pytest.raises(UsageError):
-        run(["no-such-command"])
+@pytest.mark.parametrize("argv", [
+    ["norm", "--frobnicate"],
+    ["norm", "--form", "littlewood2", "--frobnicate"],
+    ["no-such-command"],
+    [],
+])
+def test_usage_error_exits_2_with_argparse_usage(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: mixnorms")
+    assert "error: " in captured.err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["norm", "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: mixnorms") and captured.err == ""
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -268,13 +295,6 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["norm", "--frobnicate"]) == 2
     assert "usage" in capsys.readouterr().err.lower()
-
-
-def test_outcome_invariant_ok_iff_exit_zero():
-    ok = run(["p0"])
-    assert isinstance(ok, CommandOutcome) and ok.status == "ok"
-    bad = run(["norm", "--form", "missing"])
-    assert bad.status == "error"
 
 
 # ---------------------------------------------------------------------------

@@ -332,11 +332,22 @@ def test_instance_file_roundtrip(tmp_path):
     assert inst.ratio == pytest.approx(SQRT2, abs=1e-12)
 
 
-def test_instance_dict_validation():
+@pytest.mark.parametrize("doc, message", [
+    ({"r": 1.0, "vectors": EXTREMAL_PAIR}, "needs r, s and vectors"),
+    ({"r": "1.5", "s": 1.5, "vectors": EXTREMAL_PAIR}, "numbers"),
+    ({"r": 1.5, "s": True, "vectors": EXTREMAL_PAIR}, "numbers"),
+    ({"r": 1.5, "s": 1.5, "vectors": "1,1;1,-1"}, "lists of numbers"),
+    ({"r": 1.5, "s": 1.5, "vectors": ["11", "1-1"]}, "lists of numbers"),
+    ({"r": 1.5, "s": 1.5, "vectors": [["1", 1], [1, -1]]}, "lists of numbers"),
+    ({"r": 1.5, "s": 1.5, "vectors": [[True, 1], [1, -1]]}, "lists of numbers"),
+    ({"r": 1.5, "s": 1.5, "vectors": [[10 ** 400, 1], [1, -1]]}, "lists of numbers"),
+    ({"r": 10 ** 400, "s": 1.5, "vectors": EXTREMAL_PAIR}, "numbers"),
+])
+def test_instance_dict_validation(doc, message):
     from mixnorms import instance_from_dict
 
-    with pytest.raises(ValueError, match="needs r, s and vectors"):
-        instance_from_dict({"r": 1.0, "vectors": EXTREMAL_PAIR})
+    with pytest.raises(ValueError, match=message):
+        instance_from_dict(doc)
 
 
 @pytest.mark.parametrize("r", [1.0, 4 / 3, 1.5, 2.0])

@@ -353,6 +353,18 @@ def test_form_dict_bad_index_rejected():
         form_from_dict({"degree": 3, "dims": [2, 2], "entries": []})
 
 
+@pytest.mark.parametrize("degree, dims", [
+    (2.7, [2, 2]),
+    (True, [2]),
+    (2, "22"),
+    (2, [2.0, 2]),
+    (2, [2, False]),
+])
+def test_form_dict_degree_and_dims_must_be_json_integers(degree, dims):
+    with pytest.raises(ValueError, match="integer"):
+        form_from_dict({"degree": degree, "dims": dims, "entries": []})
+
+
 def test_form_dict_entries_must_be_a_list():
     with pytest.raises(ValueError, match="list"):
         form_from_dict({"degree": 1, "dims": [2], "entries": 5})

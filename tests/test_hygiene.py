@@ -1,18 +1,25 @@
-"""Source hygiene without a linter: every import of a module is used, and
-every module-level private name is referenced somewhere in the package.
+"""Source hygiene without a linter: every import of a module is used,
+every module-level private name is referenced somewhere in the package,
+and every public module-level function or class is reached from outside
+its module.
 
-Both checks read the syntax trees of ``src/mixnorms/*.py``.  Imports in
+The checks read the syntax trees of ``src/mixnorms/*.py``.  Imports in
 ``__init__.py`` are its public interface, and an import line marked
 ``# noqa`` is kept on purpose (for example for readers outside the
-package); neither counts as unused.
+package); neither counts as unused.  A public function or class is
+reached when ``__init__.py`` imports it, another module reads it, or it
+is the ``[project.scripts]`` entry point; one that only tests reach is
+dead code.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "mixnorms"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mixnorms"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -60,17 +67,33 @@ def _private_definitions(tree: ast.Module) -> list[str]:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
+def _used_names(tree: ast.AST) -> set[str]:
+    """Names a tree reads bare or as attributes, or imports."""
+    return (_read_names(tree)
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {node.name.rpartition(".")[2] for node in ast.walk(tree)
+               if isinstance(node, ast.alias)})
+
+
 def unreferenced_privates(sources: dict[str, str]) -> list[str]:
     """Module-level private names that no module of `sources` reads."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    used = set()
-    for tree in trees.values():
-        used |= _read_names(tree)
-        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        used |= {node.name.rpartition(".")[2] for node in ast.walk(tree)
-                 if isinstance(node, ast.alias)}
+    used = set().union(*map(_used_names, trees.values()))
     return sorted(f"{module}: {name}" for module, tree in trees.items()
                   for name in _private_definitions(tree) if name not in used)
+
+
+def unreached_publics(sources: dict[str, str], entry_points: set[tuple[str, str]]) -> list[str]:
+    """Public module-level functions and classes that no other module of
+    `sources` reads or imports and that are no (module, name) entry point."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    used = {module: _used_names(tree) for module, tree in trees.items()}
+    return sorted(
+        f"{module}: {node.name}" for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and (module, node.name) not in entry_points
+        and not any(node.name in names for other, names in used.items() if other != module)
+    )
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
@@ -82,6 +105,14 @@ def test_no_unused_imports(path):
 def test_every_private_name_is_referenced():
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     assert unreferenced_privates(sources) == []
+
+
+def test_every_public_name_is_reached():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.findall(r'^\S+ = "mixnorms\.(\w+):(\w+)"$', pyproject, re.MULTILINE)
+    assert scripts
+    assert unreached_publics(sources, {(f"{m}.py", f) for m, f in scripts}) == []
 
 
 def test_checks_catch_what_they_are_for():
@@ -96,3 +127,10 @@ def test_checks_catch_what_they_are_for():
         "b.py": "from .a import _LIMIT\n\nVALUE = _LIMIT\n",
     }
     assert unreferenced_privates(sources) == ["a.py: _STALE", "a.py: _helper"]
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": "def exported():\n    return Stale\n\ndef helper():\n    pass\n\n"
+                "def main():\n    pass\n\nclass Stale:\n    pass\n",
+        "b.py": "from . import a\n\nVALUE = a.helper()\n",
+    }
+    assert unreached_publics(sources, {("a.py", "main")}) == ["a.py: Stale"]

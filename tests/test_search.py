@@ -159,6 +159,15 @@ def test_optimize_rejects_unaffordable_dims():
         optimize_ratio((12, 12), ExponentTuple.parse("1,2"), budget=10, seed=0)
 
 
+@pytest.mark.parametrize("dims, exps", [((20000, 1), "1,2"), ((10 ** 12,), "1")])
+def test_optimize_rejects_astronomical_dims_at_once(dims, exps):
+    # 2^sum(dims) is never built (2^(10^12) would take about 125 GB): the
+    # check reads the exponent, and the message names only the exponent.
+    with pytest.raises(ValueError, match="affordable") as info:
+        optimize_ratio(dims, ExponentTuple.parse(exps), budget=10, seed=0)
+    assert len(str(info.value)) < 200
+
+
 def test_optimize_validates_arguments():
     with pytest.raises(ValueError, match="budget"):
         optimize_ratio((2, 2), ExponentTuple.parse("1,2"), budget=0, seed=0)
