@@ -143,7 +143,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("norm", "sup norm of a form over the unit balls of c0", _norm)
     p.add_argument("--form", required=True)
-    p.add_argument("--budget", type=int, default=forms.DEFAULT_SUP_BUDGET)
+    p.add_argument("--budget", type=int, default=forms.DEFAULT_SUP_BUDGET,
+                   help="exact if the exact kernel's work, 2^(sum(dims) - max(dims) - m + 1)"
+                   " * max(dims), fits (evaluations then reports the full 2^sum(dims) grid);"
+                   " else at most this many ascent evaluations")
 
     p = add("mixed", "nested mixed norm of a form", _mixed)
     p.add_argument("--form", required=True)
@@ -216,15 +219,16 @@ def _format_value(value) -> str:
     return f"{value:.12g}"
 
 
-def _print_text(payload: dict) -> None:
+def _text(payload: dict) -> str:
+    lines = []
     for key, value in payload.items():
         if key == "rows":
-            for row in value:
-                print("  ".join(f"{k}={_format_value(v)}" for k, v in row.items()))
+            lines += ["  ".join(f"{k}={_format_value(v)}" for k, v in row.items()) for row in value]
         elif isinstance(value, list):
-            print(f"{key} = {' '.join(_format_value(v) for v in value)}")
+            lines.append(f"{key} = {' '.join(_format_value(v) for v in value)}")
         else:
-            print(f"{key} = {_format_value(value)}")
+            lines.append(f"{key} = {_format_value(value)}")
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
@@ -235,13 +239,11 @@ def main(argv=None) -> int:
         return exc.code
     try:
         payload = {"command": args.command, **args.handler(args)}
+        text = json.dumps(payload, indent=2, sort_keys=True) if args.json else _text(payload)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        _print_text(payload)
+    print(text)
     return 0
 
 

@@ -12,18 +12,22 @@ other slot.  So the exact sup norm takes the largest slot in closed form
 and enumerates the sign vectors of the others, with one sign of each
 fixed, since flipping one argument only flips the sign of the value.  A
 degree-m form needs 2^(sum(dims) - max(dims) - m + 1) sign combinations,
-contracted in blocks of bounded size.  The exact value is used whenever
-the full grid of 2^sum(dims) sign vertices fits the evaluation budget, so
-``exact`` still means that every vertex is covered, and ``evaluations``
-counts the full grid.  Larger forms fall back to an alternating
-coordinate-ascent heuristic whose result is still a valid lower bound: 32
-restarts from fixed random vertices, each step setting one slot's signs
-to those of its gradient when that changes a sign and raises the value.
-The restarts advance in lockstep, one batched contraction per slot step,
-in groups whose temporaries stay within max(form size, 2^15) elements.
+contracted in blocks of bounded size, and each one's closed-form l1 norm
+adds up max(dims) absolute values.  The exact value is used whenever that
+work, patterns times max(dims), fits the evaluation budget.  Together the
+patterns and the closed form cover every vertex, so ``exact`` means that
+every vertex is covered, and ``evaluations`` counts the full grid of
+2^sum(dims) vertices, which can exceed the budget.  Larger forms fall back
+to an alternating coordinate-ascent heuristic whose result is still a
+valid lower bound: 32 restarts from fixed random vertices, each step
+setting one slot's signs to those of its gradient when that changes a
+sign and raises the value.  The restarts advance in lockstep, one batched
+contraction per slot step, in groups whose temporaries stay within
+max(form size, 2^15) elements.
 
 All user-facing I/O (the JSON form files) uses 1-based indices; the Python
-API is 0-based like the underlying arrays.
+API is 0-based like the underlying arrays.  A form file may declare at
+most MAX_FORM_ENTRIES coefficients, checked before any allocation.
 """
 
 from __future__ import annotations
@@ -37,11 +41,13 @@ from typing import Sequence
 
 import numpy as np
 
-#: Vertex enumeration is used whenever the total number of sign vertices
-#: (product of 2**dims[i]) does not exceed the evaluation budget.
+#: Default evaluation budget of `sup_norm`.  The exact kernel is used
+#: whenever its work, 2^(sum(dims) - max(dims) - m + 1) sign patterns times
+#: max(dims) terms, fits it; the heuristic ascent spends at most this many
+#: evaluations.
 DEFAULT_SUP_BUDGET = 2 ** 22
 
-#: Restarts used by the heuristic ascent when enumeration is unaffordable.
+#: Restarts used by the heuristic ascent when the exact kernel is unaffordable.
 ASCENT_RESTARTS = 32
 
 _ASCENT_SEED = 7  # fixed internal seed: sup_norm must be deterministic
@@ -50,6 +56,10 @@ _ASCENT_SEED = 7  # fixed internal seed: sup_norm must be deterministic
 #: exact path is a few blocks or the form's own size, whichever is larger;
 #: it does not grow with the number of sign vertices or the budget.
 _CHUNK = 1 << 15
+
+#: Most coefficients a JSON form file may declare (512 MiB of float64),
+#: checked before the coefficient tensor is allocated.
+MAX_FORM_ENTRIES = 2 ** 26
 
 #: Slots up to this support size read their sign vectors from a cached
 #: table (the largest is under 2 MiB); larger slots generate each block.
@@ -89,9 +99,11 @@ class MultilinearForm:
 
 @dataclass(frozen=True)
 class SupNormResult:
-    """Sup-norm value, whether it came from full vertex enumeration, and
-    how many form evaluations were spent.  A non-exact value is always a
-    valid lower bound of the true sup norm."""
+    """Sup-norm value, whether it covers every sign vertex, and how many
+    form evaluations it stands for.  An exact value reports the full grid
+    of 2^sum(dims) vertices, which can exceed the budget that admitted it;
+    a non-exact value counts the ascent's evaluations, at most the budget,
+    and is always a valid lower bound of the true sup norm."""
 
     value: float
     exact: bool
@@ -170,6 +182,16 @@ def _affordable(dims: Sequence[int], budget: int) -> bool:
     """Whether the 2^sum(dims) sign vertices of the slots' unit balls fit
     `budget`, decided from the exponent without building the power."""
     return sum(dims) < int(budget).bit_length()
+
+
+def _exact_work_fits(dims: Sequence[int], budget: int) -> bool:
+    """Whether `_exact_sup`'s work on `dims` fits `budget`: its
+    2^(sum(dims) - max(dims) - m + 1) sign patterns times the max(dims)
+    terms of each closed-form l1 norm; a degree-1 form's work is its size.
+    Decided from the exponent first, so no huge power is built."""
+    top = max(dims)
+    exponent = sum(dims) - top - len(dims) + 1
+    return exponent < int(budget).bit_length() and top << exponent <= budget
 
 
 def _slot_order(dims: Sequence[int]) -> list[int]:
@@ -332,19 +354,21 @@ def _ascent_sup(coeffs: np.ndarray, budget: int) -> tuple[float, int]:
 def sup_norm(form: MultilinearForm, budget: int = DEFAULT_SUP_BUDGET) -> SupNormResult:
     """Sup norm over the unit balls of c0.
 
-    If the full sign-vertex grid fits in `budget` evaluations the maximum
-    is exact (computed by `_exact_sup`, which needs only a fraction of the
-    grid; `evaluations` still reports the full grid).  Otherwise
-    ASCENT_RESTARTS alternating sign ascents from fixed random vertices
-    return a deterministic lower bound flagged exact=False.  They share
-    the budget as if run one after another (restart k gets what the
-    earlier ones left) but advance in lockstep, one batched contraction
-    per slot step; `evaluations` counts d per step on a slot of size d,
-    plus one per start vertex.
+    If the exact kernel's work fits in `budget` (its
+    2^(sum(dims) - max(dims) - m + 1) sign patterns times the max(dims)
+    terms of each closed-form l1 norm), `_exact_sup` gives the exact
+    maximum, and `evaluations` reports the full grid of 2^sum(dims)
+    vertices, which can exceed the budget.  Otherwise ASCENT_RESTARTS
+    alternating sign ascents from fixed random vertices return a
+    deterministic lower bound flagged exact=False, with at most `budget`
+    evaluations.  They share the budget as if run one after another
+    (restart k gets what the earlier ones left) but advance in lockstep,
+    one batched contraction per slot step; `evaluations` counts d per step
+    on a slot of size d, plus one per start vertex.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if _affordable(form.dims, budget):
+    if _exact_work_fits(form.dims, budget):
         return SupNormResult(_exact_sup(form.coeffs), True, 2 ** sum(form.dims))
     value, used = _ascent_sup(form.coeffs, budget)
     return SupNormResult(value, False, used)
@@ -448,6 +472,10 @@ def form_from_dict(doc: dict) -> MultilinearForm:
     dims = tuple(dims)
     if degree != len(dims):
         raise ValueError(f"degree {degree} does not match {len(dims)} dims")
+    if math.prod(dims) > MAX_FORM_ENTRIES:
+        raise ValueError(
+            f"dims {list(dims)} declare more than {MAX_FORM_ENTRIES} entries"
+        )
     if not isinstance(entries, list):
         raise ValueError(f"form entries must be a list, got {entries!r}")
     coeffs = np.zeros(dims)

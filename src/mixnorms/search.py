@@ -4,8 +4,10 @@ A single form certifies a lower bound on the optimal constant of a mixed
 norm inequality: mixed_norm(T, e) <= C * sup_norm(T) for every form T, so
 the ratio of one concrete T is a machine-checkable bound from below.  The
 certificate is rigorous (up to rounding) only when the sup norm came from
-full vertex enumeration, so the optimizer refuses dims whose vertex grid
-is unaffordable rather than silently degrading.
+the exact kernel, so the optimizer refuses dims whose full vertex grid
+exceeds the default sup budget rather than silently degrading.  That rule
+is stricter than `sup_norm`'s, which only bounds the exact kernel's work,
+because the climb caches every enumerated slot's whole sign table.
 
 The optimizer hill-climbs over coefficient tensors with entries in
 {-1, 0, +1} - the alphabet the known extremal forms live in, and one that
@@ -429,8 +431,8 @@ def growth_witness(
     but can be flat over small n: for (1,1) it is 2 at n = 2, 3, 4 and
     grows like sqrt(n).  For admissible tuples it stays bounded.  `exps`
     is a fixed tuple or a callable n -> tuple.  Only exact sup norms
-    enter the ratios, so each n must be affordable for full vertex
-    enumeration.
+    enter the ratios, so each n must have a full vertex grid that
+    `optimize_ratio` accepts.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

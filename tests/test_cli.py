@@ -267,6 +267,28 @@ def test_norm_huge_budget_stays_exact(tmp_path, capsys):
     assert doc["value"] == 126.0  # checked by a chunked enumeration in test_forms
 
 
+def test_unprintable_result_is_domain_error(tmp_path, capsys):
+    # An exact degree-1 sup over 20,000 coefficients reports 2^20000
+    # evaluations, past Python's 4,300-digit integer conversion limit.
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(
+        {"degree": 1, "dims": [20000], "entries": [{"index": [1], "value": 3.0}]}))
+    for flags in ([], ["--json"]):
+        assert main(["norm", "--form", f"@{path}", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+def test_certify_form_file_exact_past_the_grid(tmp_path):
+    # 2^24 vertices, but the exact kernel needs only 2^11 patterns of 12 terms.
+    path = tmp_path / "sign12.json"
+    save_form(random_sign_form((12, 12), 0), path)
+    payload = run_ok(["certify", "--form", f"@{path}", "--exps", "1,2"])
+    assert payload["sup_exact"] is True
+    assert payload["sup"] == 64.0
+
+
 @pytest.mark.parametrize("argv", [
     ["norm", "--frobnicate"],
     ["norm", "--form", "littlewood2", "--frobnicate"],

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from mixnorms import (
+    ExponentTuple,
     MultilinearForm,
+    certify,
     evaluate,
     form_from_dict,
     form_to_dict,
@@ -18,7 +20,8 @@ from mixnorms import (
     sup_norm,
     triple221,
 )
-from mixnorms.forms import ASCENT_RESTARTS, _ascent_starts
+from mixnorms import forms
+from mixnorms.forms import ASCENT_RESTARTS, MAX_FORM_ENTRIES, _ascent_starts
 
 from _oracles import brute_eval, brute_sup
 
@@ -146,8 +149,9 @@ def test_sup_norm_homogeneity_exact_mode():
 
 
 def test_sup_norm_heuristic_is_lower_bound():
+    # The exact kernel's work on (4, 3, 3) is 2^4 patterns times 4 terms.
     for seed in range(8):
-        form = random_sign_form((3, 3, 2), seed)
+        form = random_sign_form((4, 3, 3), seed)
         exact = sup_norm(form)
         rough = sup_norm(form, budget=40)
         assert exact.exact and not rough.exact
@@ -188,7 +192,7 @@ def test_sup_norm_heuristic_interleaved_dims_agree():
 def test_sup_norm_heuristic_leaves_coefficients_alone():
     form = random_sign_form((7, 6, 5), 2)
     before = form.coeffs.copy()
-    res = sup_norm(form, budget=10_000)
+    res = sup_norm(form, budget=3_000)  # below the exact work, 2^9 * 7
     assert not res.exact
     assert not form.coeffs.flags.writeable
     assert np.array_equal(form.coeffs, before)
@@ -214,6 +218,32 @@ def test_sup_norm_exact_dominates_random_cube_points():
     for _ in range(100):
         pts = [rng.uniform(-1, 1, size=d) for d in form.dims]
         assert abs(evaluate(form, pts)) <= bound + 1e-12
+
+
+def test_sup_norm_exact_when_the_kernel_work_fits_not_the_grid():
+    # 2^11 patterns times 12 terms, though the grid has 2^24 vertices.
+    assert certify(random_sign_form((12, 12), 0), ExponentTuple.parse("1,2")).sup_exact
+
+
+def _walsh_sup(coeffs: np.ndarray) -> float:
+    """Sup norm of a form whose slots all have size 2: up to sign, each
+    slot's vertices are (1, 1) and (1, -1), so the values at the vertices
+    are the entries of the Walsh-Hadamard transform along every axis."""
+    arr = coeffs
+    for _ in range(coeffs.ndim):
+        arr = np.tensordot(np.array([[1.0, 1.0], [1.0, -1.0]]), arr, axes=(1, -1))
+    return float(np.abs(arr).max())
+
+
+def test_sup_norm_exact_on_sixteen_slots_of_size_two():
+    # 2^32 vertices, but only 2^15 patterns times 2 terms; the ascent
+    # reaches 770 within the default budget.
+    form = random_sign_form((2,) * 16, 0)
+    res = sup_norm(form)
+    assert res.exact
+    assert res.evaluations == 2 ** 32
+    assert res.value == _walsh_sup(form.coeffs) == 1098.0
+    assert _walsh_sup(littlewood2().coeffs) == brute_sup(littlewood2().coeffs)[0]
 
 
 def test_sup_norm_invalid_budget():
@@ -363,6 +393,21 @@ def test_form_dict_bad_index_rejected():
 def test_form_dict_degree_and_dims_must_be_json_integers(degree, dims):
     with pytest.raises(ValueError, match="integer"):
         form_from_dict({"degree": degree, "dims": dims, "entries": []})
+
+
+def test_form_dict_rejects_dims_past_the_entry_limit(monkeypatch):
+    class Allocated(Exception):
+        pass
+
+    def no_alloc(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(forms.np, "zeros", no_alloc)
+    for dims in ([100_000, 100_000], [MAX_FORM_ENTRIES + 1], [2] * 27):
+        with pytest.raises(ValueError, match="entries"):
+            form_from_dict({"degree": len(dims), "dims": dims, "entries": []})
+    with pytest.raises(Allocated):  # the limit itself is allowed
+        form_from_dict({"degree": 1, "dims": [MAX_FORM_ENTRIES], "entries": []})
 
 
 def test_form_dict_entries_must_be_a_list():

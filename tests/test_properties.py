@@ -3,7 +3,8 @@
 The exact sup norm, the nested mixed norm and the climb's ratio function
 are checked against the brute-force oracles and the certificate on random
 dims, with the largest slot (and ties) in every position, and the climb's
-batched move scores against the ratio function of each moved tensor.  The
+batched move scores against the ratio function of each moved tensor.
+`sup_norm` is exact exactly when the exact kernel's work fits its budget.  The
 split-sum Rademacher average is checked against the full enumeration, and
 the lockstep heuristic sup norm against its restarts run one by one.  The
 climb returns the same result under every budget it did not reach, and
@@ -81,17 +82,43 @@ def test_exact_sup_matches_brute_force(dims, seed, integer):
         assert math.isclose(result.value, expected, rel_tol=1e-12)
 
 
+def _exact_work(dims) -> int:
+    """`_exact_sup`'s work: its sign patterns times max(dims) l1 terms each."""
+    top = max(dims)
+    return top * 2 ** (sum(dims) - top - len(dims) + 1)
+
+
 @PROPERTY
-@given(dims=DIMS.filter(lambda d: sum(d) <= 10), seed=SEEDS, integer=st.booleans(),
-       share=st.floats(0.0, 1.0))
-@example(dims=[1], seed=0, integer=True, share=1.0)
-@example(dims=[1, 1, 1, 1], seed=1, integer=False, share=1.0)
+@given(dims=DIMS, seed=SEEDS, offset=st.integers(-3, 3))
+@example(dims=[4, 4, 4], seed=0, offset=0)
+@example(dims=[4, 4, 4], seed=1, offset=-1)
+@example(dims=[2, 3, 1, 2], seed=2, offset=0)
+@example(dims=[4], seed=3, offset=-1)
+@example(dims=[1, 1], seed=4, offset=0)
+def test_sup_norm_is_exact_iff_the_exact_work_fits(dims, seed, offset):
+    # Budgets on both sides of the work, far below the grid of 2^sum(dims).
+    coeffs = _coeffs(dims, seed, integer=True)
+    budget = max(1, _exact_work(dims) + offset)
+    result = sup_norm(MultilinearForm(coeffs), budget=budget)
+    assert result.exact is (_exact_work(dims) <= budget)
+    if 2 ** sum(dims) <= budget:
+        assert result.exact  # exact under the full-grid rule stays exact
+    if result.exact:
+        assert (result.value, result.evaluations) == brute_sup(coeffs)
+
+
+@PROPERTY
+@given(dims=DIMS.filter(lambda d: sum(d) <= 10 and max(d) > 1), seed=SEEDS,
+       integer=st.booleans(), share=st.floats(0.0, 1.0))
+@example(dims=[2], seed=0, integer=True, share=1.0)
+@example(dims=[2, 1, 1, 1], seed=1, integer=False, share=1.0)
 @example(dims=[4, 1, 3], seed=2, integer=True, share=1.0)
 @example(dims=[1, 4], seed=3, integer=False, share=0.5)
 def test_heuristic_sup_matches_sequential_restarts(dims, seed, integer, share):
-    # Every budget below the grid size, from 1 (share 0) to grid - 1 (share 1).
+    # Every budget below the exact kernel's work, from 1 (share 0) to work - 1
+    # (share 1); all-ones dims have work 1 and never reach the ascent here.
     coeffs = _coeffs(dims, seed, integer)
-    budget = 1 + int(share * (2 ** sum(dims) - 2))
+    budget = 1 + int(share * (_exact_work(dims) - 2))
     result = sup_norm(MultilinearForm(coeffs), budget=budget)
     value, evaluations = sequential_ascent_sup(coeffs, budget)
     assert result.exact is False
