@@ -22,6 +22,8 @@ import sys
 import warnings
 from dataclasses import asdict
 
+import numpy as np
+
 from . import constants, cotype, forms, mixed_norms, search
 from .mixed_norms import ExponentTuple, RaggedBlockWarning, parse_number
 
@@ -238,7 +240,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse has printed the usage or the help
         return exc.code
     try:
-        payload = {"command": args.command, **args.handler(args)}
+        # Overflows surface as a ValueError alone, with no numpy warning.
+        with np.errstate(over="ignore"):
+            payload = {"command": args.command, **args.handler(args)}
         text = json.dumps(payload, indent=2, sort_keys=True) if args.json else _text(payload)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -79,8 +79,11 @@ class MultilinearForm:
             raise ValueError("a multilinear form needs degree >= 1")
         if any(d < 1 for d in arr.shape):
             raise ValueError(f"every slot needs support size >= 1, got dims {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("form coefficients must be finite")
+        # The l1 norm bounds every sign sum and vertex value; a NaN or inf entry makes it one.
+        with np.errstate(over="ignore"):
+            l1 = np.abs(arr).sum()
+        if not math.isfinite(l1):
+            raise ValueError("form coefficients must be finite, with an l1 norm within float64")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
@@ -478,6 +481,9 @@ def form_from_dict(doc: dict) -> MultilinearForm:
         )
     if not isinstance(entries, list):
         raise ValueError(f"form entries must be a list, got {entries!r}")
+    label = doc.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ValueError(f"form label must be a string, got {label!r}")
     coeffs = np.zeros(dims)
     seen = set()
     for entry in entries:
@@ -496,7 +502,7 @@ def form_from_dict(doc: dict) -> MultilinearForm:
             raise ValueError(f"duplicate index {list(idx)}")
         seen.add(idx)
         coeffs[tuple(j - 1 for j in idx)] = value
-    return MultilinearForm(coeffs, label=doc.get("label"))
+    return MultilinearForm(coeffs, label=label)
 
 
 def save_form(form: MultilinearForm, path) -> None:

@@ -17,7 +17,8 @@ climb scores the single-entry moves in batches from cached sign
 contractions: on this alphabet every cached quantity is a small integer,
 so the updates are exact and each score equals the full ratio bit for bit.
 An optional final pass does a coordinatewise continuous line search, which
-recomputes the full ratio for every trial point.
+rebuilds those contractions for every trial point; from scratch they give
+`certify`'s ratio bit for bit on any real tensor.
 """
 
 from __future__ import annotations
@@ -35,14 +36,13 @@ from .forms import (
     _CHUNK,
     _affordable,
     _checked_dims,
-    _exact_sup,
     _random_signs,
     _sign_vertices,
     _slot_order,
     lift,
     sup_norm,
 )
-from .mixed_norms import ExponentTuple, _blocked_tensor, _nested_norm, _outer_sums, mixed_norm
+from .mixed_norms import ExponentTuple, _blocked_tensor, _outer_sums, mixed_norm
 
 
 @dataclass(frozen=True)
@@ -99,28 +99,6 @@ def certify(form: MultilinearForm, exps: ExponentTuple) -> RatioCertificate:
     )
 
 
-def _fast_ratio_fn(exps: ExponentTuple) -> Callable[[np.ndarray], float]:
-    """Vectorized mixed/sup ratio of a whole tensor, for the continuous
-    polish; the climb's batched move scores equal it bit for bit.
-
-    The sup norm comes from the same exact kernel as `sup_norm`, which
-    covers every sign vertex: the largest slot in closed form, and for each
-    other slot the half of its sign vectors whose last sign is +1.  Returns
-    -inf for the zero form so such moves are never accepted.  Both norms
-    are the kernels `certify` uses, so the ratio equals the certificate's.
-    """
-    exponents = exps.exponents
-
-    def ratio(coeffs: np.ndarray) -> float:
-        sup = _exact_sup(coeffs)
-        if sup == 0.0:
-            return -math.inf
-        blocked, _ = _blocked_tensor(coeffs, exps)
-        return _nested_norm(blocked, exponents) / sup
-
-    return ratio
-
-
 #: The two moves of an entry with value v, indexed by v + 1, in ascending
 #: order of the new value: (change of the entry, change of |entry|^q).
 _MOVES = np.array([
@@ -131,25 +109,27 @@ _MOVES = np.array([
 
 
 class _Moves:
-    """Exact scores of the single-entry moves of {-1, 0, +1} tensors on
-    fixed dims under one exponent tuple.
+    """The search's ratio model on fixed dims under one exponent tuple:
+    the mixed/sup ratio of any real tensor (`ratio_of`), and exact scores
+    of the single-entry moves of {-1, 0, +1} tensors.
 
     The sup norm takes the largest slot in closed form, as `_exact_sup`
     does: with G (P x d_last) the contraction of the coefficients with
     each of the P sign rows of the other slots (one sign of each fixed;
     the first half of each slot's cached `_sign_vertices` table, the rows
-    `_max_l1` reads), the sup is the largest row l1 norm R of G.  Entry i
-    only feeds column l_i of G, through its Kronecker sign column s_i, so
-    moving it by delta changes G[:, l_i] by delta * s_i and R by the
-    change of |G[:, l_i]|.  The nested norm keeps F, the innermost fiber
+    `_max_l1` reads), the sup is the largest row l1 norm R of G, summed in
+    `_max_l1`'s order.  Entry i only feeds column l_i of G, through its
+    Kronecker sign column s_i, so moving it by delta changes G[:, l_i] by
+    delta * s_i and R by the change of |G[:, l_i]|.  The nested norm keeps F, the innermost fiber
     sums of |blocked|^q_last; a move changes one entry of F (none when the
     entry is off every block diagonal), and the upper levels are
     recomputed by `_outer_sums`, the helper of `_nested_norm`.  The fiber
     each entry feeds is read off `_blocked_tensor` of the tensor of flat
-    entry indices, the layout `mixed_norm` blocks with.  With coefficients
-    in {-1, 0, +1}, G, R and F hold small integers, so every update is
-    exact and each score equals `_fast_ratio_fn` of the moved tensor bit
-    for bit.
+    entry indices, the layout `mixed_norm` blocks with.  Built from
+    scratch, the state gives `certify`'s ratio bit for bit on any real
+    tensor.  With coefficients in {-1, 0, +1}, G, R and F hold small
+    integers, so every update is exact and each score equals `ratio_of`
+    of the moved tensor bit for bit.
     """
 
     def __init__(self, dims: tuple[int, ...], exps: ExponentTuple):
@@ -187,11 +167,12 @@ class _Moves:
 
     def _levels(self, inner: np.ndarray) -> np.ndarray:
         """Upper levels of the nested norm from innermost fiber sums of
-        shape (..., fibers); returns the outermost sums before the root."""
-        return _outer_sums(inner.reshape(inner.shape[:-1] + self.fiber_shape), self.exponents)
+        shape (..., fibers); returns the outermost sums before the root,
+        a numpy scalar for one tensor, whose power is `_nested_norm`'s."""
+        return _outer_sums(inner.reshape(inner.shape[:-1] + self.fiber_shape), self.exponents)[()]
 
     def start(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(G transposed, R, F) of a {-1, 0, +1} tensor."""
+        """(G transposed, R, F) of a real tensor."""
         g = np.transpose(coeffs, self.order).reshape(1, -1)
         for t in self.tables:
             # (sign rows so far, this slot, rest) -> (rows so far, rows of this slot, rest)
@@ -199,11 +180,13 @@ class _Moves:
             g = np.matmul(t, g.reshape(len(g), t.shape[1], rest)).reshape(-1, rest)
         blocked, _ = _blocked_tensor(coeffs, self.exps)
         inner = (np.abs(blocked) ** self.exponents[-1]).sum(axis=-1).reshape(-1)
-        return np.ascontiguousarray(g.T), np.abs(g).sum(axis=1), inner
+        g_t = np.ascontiguousarray(g.T)
+        return g_t, np.abs(g_t).sum(axis=0), inner
 
     def ratio(self, sup: float, nested) -> float:
         """mixed/sup from a sup and the outermost nested sum, as
-        `_fast_ratio_fn` forms it (the scalar power of a numpy float)."""
+        `certify` forms it (the scalar power of a numpy float); -inf for
+        the zero tensor, so moves to it are never accepted."""
         if sup == 0.0:
             return -math.inf
         return float(nested ** self.root) / sup
@@ -211,6 +194,10 @@ class _Moves:
     def base(self, state) -> float:
         g_t, row_l1, inner = state
         return self.ratio(float(row_l1.max()), self._levels(inner))
+
+    def ratio_of(self, coeffs: np.ndarray) -> float:
+        """mixed/sup ratio of a real tensor on these dims."""
+        return self.base(self.start(coeffs))
 
     def score(self, flat: np.ndarray, state, lo: int, hi: int) -> tuple[list, np.ndarray]:
         """Sups and outermost nested sums of the moves of entries lo..hi-1
@@ -246,7 +233,7 @@ def _climb(coeffs: np.ndarray, moves: _Moves, budget: int) -> tuple[np.ndarray, 
     one evaluation, and so does the starting ratio.
 
     The moves are scored in batches of entries by `_Moves`, exactly and
-    bit for bit as `_fast_ratio_fn` would score the moved tensors.  After
+    bit for bit as `_Moves.ratio_of` would score the moved tensors.  After
     an acceptance the batch is dropped and scoring resumes at the next
     entry.  A value equal to the entry's value before its scan scores the
     ratio the scan started from.
@@ -380,15 +367,14 @@ def optimize_ratio(
             f"dims {dims} need 2^{sum(dims)} sign vertices; exact sup norms "
             f"are affordable only up to {DEFAULT_SUP_BUDGET}"
         )
-    # Every +-1 start has the norm of the all-ones tensor, the largest of
-    # any tensor the search visits; if it overflows, so does every run.
+    moves = _Moves(dims, exps)
+    # Every +-1 start has the mixed norm of the all-ones tensor, the largest
+    # of any tensor the search visits; if it overflows, so does every run.
     with np.errstate(over="ignore"):
-        top = _nested_norm(_blocked_tensor(np.ones(dims), exps)[0], exps.exponents)
+        top = moves.ratio_of(np.ones(dims))
     if math.isinf(top):
         raise ValueError(f"mixed norm under {exps} overflows float64")
 
-    moves = _Moves(dims, exps)
-    ratio_fn = _fast_ratio_fn(exps)
     climbs: dict[bytes, tuple[bytes, float, int]] = {}
     best_key: tuple[float, int] | None = None
     best_coeffs: np.ndarray | None = None
@@ -406,7 +392,7 @@ def optimize_ratio(
             climbs[start] = (coeffs.astype(np.int8).tobytes(), ratio, spent)
         used += spent
         if refine and used < budget:
-            coeffs, ratio, spent = _refine(coeffs, ratio_fn, budget - used)
+            coeffs, ratio, spent = _refine(coeffs, moves.ratio_of, budget - used)
             used += spent
         key = (ratio, seed + k)
         if best_key is None or key > best_key:

@@ -7,7 +7,8 @@ library contracts tensors with numpy, the oracles multiply scalars.
 the exceptions: they are the library's former chunked numpy enumeration,
 its former one-restart-at-a-time sup-norm ascent and its former restart
 loop without a climb memo, kept to check the split-sum and lockstep
-kernels and the memoised search.
+kernels and the memoised search.  `reference_ratio` is the public
+certificate path, against which the search's own ratio model is checked.
 """
 
 import itertools
@@ -15,8 +16,9 @@ import math
 
 import numpy as np
 
+from mixnorms import MultilinearForm, certify
 from mixnorms.forms import _random_signs
-from mixnorms.search import _Moves, _climb, _fast_ratio_fn, _refine
+from mixnorms.search import _Moves, _climb, _refine
 
 
 def brute_eval(coeffs, points):
@@ -153,6 +155,14 @@ def sequential_ascent_sup(coeffs, budget, restarts=32, seed=7):
     return best, used
 
 
+def reference_ratio(coeffs, exps):
+    """mixed/sup ratio of a tensor through `certify`; -inf for the zero
+    tensor, which has no certificate."""
+    if not np.any(coeffs):
+        return -math.inf
+    return certify(MultilinearForm(coeffs), exps).ratio
+
+
 def sequential_optimize(dims, exps, budget, seed, restarts=None, refine=False):
     """(witness, ratio) of `optimize_ratio`'s restarts with no climb memo:
     restart k draws its start from seed + k, climbs it with the budget the
@@ -160,7 +170,6 @@ def sequential_optimize(dims, exps, budget, seed, restarts=None, refine=False):
     restarts go to the later seed."""
     dims = tuple(dims)
     moves = _Moves(dims, exps)
-    ratio_fn = _fast_ratio_fn(exps)
     best_key = best_coeffs = None
     used = 0
     k = 0
@@ -168,7 +177,8 @@ def sequential_optimize(dims, exps, budget, seed, restarts=None, refine=False):
         coeffs, ratio, spent = _climb(_random_signs(dims, seed + k), moves, budget - used)
         used += spent
         if refine and used < budget:
-            coeffs, ratio, spent = _refine(coeffs, ratio_fn, budget - used)
+            coeffs, ratio, spent = _refine(coeffs, lambda c: reference_ratio(c, exps),
+                                           budget - used)
             used += spent
         if best_key is None or (ratio, seed + k) > best_key:
             best_key = (ratio, seed + k)

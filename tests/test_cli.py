@@ -257,6 +257,44 @@ def test_optimize_overflowing_tuple_is_rejected_up_front(capsys):
     assert captured.err == "error: mixed norm under 2000,1 overflows float64\n"
 
 
+def test_certify_overflowing_tuple_prints_only_the_error_line(capsys):
+    # mixed_norm's powers overflow; no numpy warning precedes the error
+    assert main(["certify", "--form", "littlewood2", "--exps", "2000,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mixed norm under 2000,1 overflows float64\n"
+
+
+@pytest.mark.parametrize("entries, flags", [
+    # true sup 4e308: the sign sums overflow, inf - inf gave NaN and max dropped it
+    ([([i, j, 2], 1e308) for i in (1, 2) for j in (1, 2)], []),
+    # littlewood2 scaled by 1e308, on the exact and the ascent path
+    ([([1, 1], 1e308), ([1, 2], 1e308), ([2, 1], 1e308), ([2, 2], -1e308)], ["--json"]),
+    ([([1, 1], 1e308), ([1, 2], 1e308), ([2, 1], 1e308), ([2, 2], -1e308)],
+     ["--budget", "1", "--json"]),
+])
+def test_form_whose_l1_norm_overflows_is_domain_error(tmp_path, capsys, entries, flags):
+    path = tmp_path / "huge.json"
+    dims = [2] * len(entries[0][0])
+    path.write_text(json.dumps({"degree": len(dims), "dims": dims, "entries": [
+        {"index": index, "value": value} for index, value in entries]}))
+    assert main(["norm", "--form", f"@{path}", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("label", [{"x": 1}, 0])
+def test_form_label_must_be_a_string(tmp_path, capsys, label):
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps({"degree": 2, "dims": [2, 2], "label": label,
+                                "entries": [{"index": [1, 1], "value": 1.0}]}))
+    assert main(["certify", "--form", f"@{path}", "--exps", "1,2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: form label must be a string")
+
+
 def test_norm_huge_budget_stays_exact(tmp_path, capsys):
     path = tmp_path / "big.json"
     save_form(random_sign_form((20, 20), 0), path)

@@ -98,6 +98,12 @@ def test_evaluate_rejects_wrong_length():
 def test_form_validation():
     with pytest.raises(ValueError, match="finite"):
         MultilinearForm(np.array([[1.0, np.inf], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        MultilinearForm(np.array([np.nan, 1.0]))
+    # each coefficient is finite, but the l1 norm that bounds the sup is not
+    with pytest.raises(ValueError, match="l1 norm"):
+        MultilinearForm(np.array([[1e308, 1e308], [1e308, -1e308]]))
+    assert MultilinearForm(np.array([1e308, -7e307])).coeffs[0] == 1e308
     with pytest.raises(ValueError, match="degree"):
         MultilinearForm(np.array(3.0))
 

@@ -1,7 +1,8 @@
 """Source hygiene without a linter: every import of a module is used,
 every module-level private name is referenced somewhere in the package,
-and every public module-level function or class is reached from outside
-its module.
+every public module-level function or class is reached from outside its
+module, and every private name that a docstring, comment or the README
+quotes in backticks is still defined.
 
 The checks read the syntax trees of ``src/mixnorms/*.py``.  Imports in
 ``__init__.py`` are its public interface, and an import line marked
@@ -96,6 +97,29 @@ def unreached_publics(sources: dict[str, str], entry_points: set[tuple[str, str]
     )
 
 
+def _defined_names(tree: ast.AST) -> set[str]:
+    """Names a tree defines anywhere: functions, classes, assigned names
+    and assigned attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def undefined_quoted_privates(texts: dict[str, str], sources: dict[str, str]) -> list[str]:
+    """Backticked private names (`_name`, or `_Name.attr` by its first
+    part) in `texts` that no module of `sources` defines."""
+    defined = set().union(*(_defined_names(ast.parse(text)) for text in sources.values()))
+    return sorted({f"{name}: {quoted}" for name, text in texts.items()
+                   for quoted in re.findall(r"`(_[A-Za-z0-9_]+)[`.]", text)
+                   if quoted not in defined})
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
@@ -113,6 +137,12 @@ def test_every_public_name_is_reached():
     scripts = re.findall(r'^\S+ = "mixnorms\.(\w+):(\w+)"$', pyproject, re.MULTILINE)
     assert scripts
     assert unreached_publics(sources, {(f"{m}.py", f) for m, f in scripts}) == []
+
+
+def test_quoted_private_names_are_defined():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    texts = {**sources, "README.md": (ROOT / "README.md").read_text(encoding="utf-8")}
+    assert undefined_quoted_privates(texts, sources) == []
 
 
 def test_checks_catch_what_they_are_for():
@@ -134,3 +164,7 @@ def test_checks_catch_what_they_are_for():
         "b.py": "from . import a\n\nVALUE = a.helper()\n",
     }
     assert unreached_publics(sources, {("a.py", "main")}) == ["a.py: Stale"]
+    sources = {"a.py": "class _Model:\n    def ratio_of(self):\n        self._rows = 1\n"}
+    texts = {"b.py": '"""Scores as `_Model.ratio_of` and `_rows`, not `_fast_ratio_fn`."""',
+             "README.md": "Polished by ``_gone`` through `_Model`."}
+    assert undefined_quoted_privates(texts, sources) == ["README.md: _gone", "b.py: _fast_ratio_fn"]
