@@ -123,7 +123,7 @@ def evaluate(form: MultilinearForm, points: Sequence[Sequence[float]]) -> float:
         raise ValueError(
             f"form of degree {form.degree} needs {form.degree} vectors, got {len(points)}"
         )
-    vecs = []
+    val = form.coeffs
     for i, p in enumerate(points):
         v = np.asarray(p, dtype=float)
         if v.ndim != 1 or v.shape[0] != form.dims[i]:
@@ -131,15 +131,7 @@ def evaluate(form: MultilinearForm, points: Sequence[Sequence[float]]) -> float:
                 f"slot {i + 1} expects a vector of length {form.dims[i]}, "
                 f"got length {v.shape[0] if v.ndim == 1 else 'non-vector'}"
             )
-        vecs.append(v)
-    return _contract(form.coeffs, vecs)
-
-
-def _contract(coeffs: np.ndarray, vecs: Sequence[np.ndarray]) -> float:
-    """Contract one vector into each slot of `coeffs`, first slot first."""
-    val = coeffs
-    for v in vecs:
-        val = np.tensordot(v, val, axes=(0, 0))
+        val = np.tensordot(v, val, axes=(0, 0))  # slot i is the leading axis of val
     return float(val)
 
 
@@ -158,6 +150,11 @@ def _sign_vertices(d: int) -> np.ndarray:
     return out
 
 
+def _sign_block(d: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of `_sign_vertices(d)`, cached only up to _TABLE_BITS."""
+    return _sign_vertices(d)[start:stop] if d <= _TABLE_BITS else _sign_rows(d, start, stop)
+
+
 def _max_l1(arr: np.ndarray, dims: tuple[int, ...], j: int) -> float:
     """Max over the sign vectors of slots j..m-2 of the l1 norm over the
     last slot, for `arr` of shape (dims[j], ..., dims[-1], P) holding P
@@ -174,17 +171,10 @@ def _max_l1(arr: np.ndarray, dims: tuple[int, ...], j: int) -> float:
     best = 0.0
     for start in range(0, n, step):
         stop = min(n, start + step)
-        signs = _sign_vertices(d)[start:stop] if d <= _TABLE_BITS else _sign_rows(d, start, stop)
         # Contracting the leading axis keeps the next slot's axis leading
         # and collects the sign rows at the back.
-        best = max(best, _max_l1(flat.T @ signs.T, dims, j + 1))
+        best = max(best, _max_l1(flat.T @ _sign_block(d, start, stop).T, dims, j + 1))
     return best
-
-
-def _affordable(dims: Sequence[int], budget: int) -> bool:
-    """Whether the 2^sum(dims) sign vertices of the slots' unit balls fit
-    `budget`, decided from the exponent without building the power."""
-    return sum(dims) < int(budget).bit_length()
 
 
 def _exact_work_fits(dims: Sequence[int], budget: int) -> bool:

@@ -4,10 +4,9 @@ A single form certifies a lower bound on the optimal constant of a mixed
 norm inequality: mixed_norm(T, e) <= C * sup_norm(T) for every form T, so
 the ratio of one concrete T is a machine-checkable bound from below.  The
 certificate is rigorous (up to rounding) only when the sup norm came from
-the exact kernel, so the optimizer refuses dims whose full vertex grid
-exceeds the default sup budget rather than silently degrading.  That rule
-is stricter than `sup_norm`'s, which only bounds the exact kernel's work,
-because the climb caches every enumerated slot's whole sign table.
+the exact kernel, so the optimizer admits exactly the dims on which
+`sup_norm` is exact at the default budget, and refuses the others rather
+than silently degrading.
 
 The optimizer hill-climbs over coefficient tensors with entries in
 {-1, 0, +1} - the alphabet the known extremal forms live in, and one that
@@ -34,10 +33,10 @@ from .forms import (
     DEFAULT_SUP_BUDGET,
     MultilinearForm,
     _CHUNK,
-    _affordable,
     _checked_dims,
+    _exact_work_fits,
     _random_signs,
-    _sign_vertices,
+    _sign_block,
     _slot_order,
     lift,
     sup_norm,
@@ -116,10 +115,11 @@ class _Moves:
     The sup norm takes the largest slot in closed form, as `_exact_sup`
     does: with G (P x d_last) the contraction of the coefficients with
     each of the P sign rows of the other slots (one sign of each fixed;
-    the first half of each slot's cached `_sign_vertices` table, the rows
-    `_max_l1` reads), the sup is the largest row l1 norm R of G, summed in
+    the first half of each slot's `_sign_block` rows, the rows `_max_l1`
+    reads), the sup is the largest row l1 norm R of G, summed in
     `_max_l1`'s order.  Entry i only feeds column l_i of G, through its
-    Kronecker sign column s_i, so moving it by delta changes G[:, l_i] by
+    Kronecker sign column s_i, gathered per batch from each slot's table
+    at the entry's coordinate; moving it by delta changes G[:, l_i] by
     delta * s_i and R by the change of |G[:, l_i]|.  The nested norm keeps F, the innermost fiber
     sums of |blocked|^q_last; a move changes one entry of F (none when the
     entry is off every block diagonal), and the upper levels are
@@ -135,34 +135,35 @@ class _Moves:
     def __init__(self, dims: tuple[int, ...], exps: ExponentTuple):
         self.order = _slot_order(dims)
         *head, last = self.order
-        self.tables = [_sign_vertices(dims[i])[:2 ** (dims[i] - 1)] for i in head]
-        index = np.indices(dims).reshape(len(dims), -1)
-        self.column = index[last]
-        # Row i of slot_signs[j]: the sign each row of table j gives entry i.
-        self.slot_signs = [t[:, index[i]].T for t, i in zip(self.tables, head)]
-        n_rows = math.prod(len(t) for t in self.tables)
+        # Slot head[j]'s sign rows transposed (d x rows), and each entry's
+        # coordinate there: int8, as a slot whose table fits has d < 128.
+        self.tables = [np.ascontiguousarray(_sign_block(dims[i], 0, 2 ** (dims[i] - 1)).T)
+                       for i in head]
+        entries = np.arange(math.prod(dims))
+        self.column = entries // math.prod(dims[last + 1:]) % dims[last]
+        self.coords = [(entries // math.prod(dims[i + 1:]) % dims[i]).astype(np.int8) for i in head]
 
         # Blocking the flat entry indices lists the entries each innermost
         # fiber sums; entries off every block diagonal keep fiber -1.
-        blocked, _ = _blocked_tensor(np.arange(index.shape[1]).reshape(dims), exps)
+        blocked, _ = _blocked_tensor(entries.reshape(dims), exps)
         self.fiber_shape = blocked.shape[:-1]
         self.fibers = np.arange(math.prod(self.fiber_shape))
-        self.fiber = np.full(index.shape[1], -1)
+        self.fiber = np.full(entries.size, -1)
         self.fiber[blocked.reshape(self.fibers.size, -1)] = self.fibers[:, None]
 
         self.exps = exps
         self.exponents = exps.exponents
         self.root = 1.0 / self.exponents[0]
-        width = max(n_rows, self.fibers.size)
+        width = max(math.prod(t.shape[1] for t in self.tables), self.fibers.size)
         self.block = max(1, _CHUNK // (2 * width))
 
     def _signs(self, lo: int, hi: int) -> np.ndarray:
         """Kronecker sign columns s_i of entries lo..hi-1, one per row."""
-        if not self.slot_signs:
+        if not self.tables:
             return np.ones((hi - lo, 1))
-        s = self.slot_signs[0][lo:hi]
-        for t in self.slot_signs[1:]:
-            s = (s[:, :, None] * t[lo:hi, None, :]).reshape(hi - lo, -1)
+        s = self.tables[0].take(self.coords[0][lo:hi], axis=0)
+        for t, c in zip(self.tables[1:], self.coords[1:]):
+            s = (s[:, :, None] * t.take(c[lo:hi], axis=0)[:, None, :]).reshape(hi - lo, -1)
         return s
 
     def _levels(self, inner: np.ndarray) -> np.ndarray:
@@ -176,8 +177,8 @@ class _Moves:
         g = np.transpose(coeffs, self.order).reshape(1, -1)
         for t in self.tables:
             # (sign rows so far, this slot, rest) -> (rows so far, rows of this slot, rest)
-            rest = g.shape[1] // t.shape[1]
-            g = np.matmul(t, g.reshape(len(g), t.shape[1], rest)).reshape(-1, rest)
+            rest = g.shape[1] // len(t)
+            g = np.matmul(t.T, g.reshape(len(g), len(t), rest)).reshape(-1, rest)
         blocked, _ = _blocked_tensor(coeffs, self.exps)
         inner = (np.abs(blocked) ** self.exponents[-1]).sum(axis=-1).reshape(-1)
         g_t = np.ascontiguousarray(g.T)
@@ -350,6 +351,12 @@ def optimize_ratio(
     its evaluations, while they fit the budget left; otherwise the climb
     reruns on what is left.  Since a climb gives the same result under
     every budget it did not reach, this changes no result.
+
+    Dims are admitted iff `sup_norm` is exact on them at the default
+    budget (`_exact_work_fits`).  The budget counts evaluations, not work
+    (ROADMAP item 3): each scores a move against W / max(dims) sign rows,
+    W being that exact work.  Peak memory is c * 8W bytes plus a few
+    `_CHUNK` blocks, with c from 4 to 16 (README, Notes on exactness).
     """
     dims = _checked_dims(dims)
     if seed < 0:
@@ -362,11 +369,10 @@ def optimize_ratio(
         raise ValueError(f"budget must be >= 1, got {budget}")
     if restarts is not None and restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if not _affordable(dims, DEFAULT_SUP_BUDGET):
-        raise ValueError(
-            f"dims {dims} need 2^{sum(dims)} sign vertices; exact sup norms "
-            f"are affordable only up to {DEFAULT_SUP_BUDGET}"
-        )
+    if not _exact_work_fits(dims, DEFAULT_SUP_BUDGET):
+        raise ValueError(f"dims {dims} need 2^{sum(dims) - max(dims) - len(dims) + 1} * "
+                         f"{max(dims)} terms of exact sup-norm work; {DEFAULT_SUP_BUDGET} "
+                         "are affordable")
     moves = _Moves(dims, exps)
     # Every +-1 start has the mixed norm of the all-ones tensor, the largest
     # of any tensor the search visits; if it overflows, so does every run.
@@ -416,9 +422,8 @@ def growth_witness(
     For tuples without a uniform constant the optimum is unbounded in n
     but can be flat over small n: for (1,1) it is 2 at n = 2, 3, 4 and
     grows like sqrt(n).  For admissible tuples it stays bounded.  `exps`
-    is a fixed tuple or a callable n -> tuple.  Only exact sup norms
-    enter the ratios, so each n must have a full vertex grid that
-    `optimize_ratio` accepts.
+    is a fixed tuple or a callable n -> tuple.  Every ratio has an exact
+    sup norm, as `optimize_ratio` admits no other dims.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -196,7 +196,7 @@ def test_p0_nan_tolerance_is_domain_error(capsys):
     ["optimize", "--dims", "0,2", "--exps", "1,2"],
     ["growth", "--exps", "1,2", "--n-list", "0"],
     ["optimize", "--dims", "2,2", "--exps", "1,2", "--seed", "-1"],
-    ["optimize", "--dims", "20000,1", "--exps", "1,2"],
+    ["optimize", "--dims", "20000,30", "--exps", "1,2"],
     ["growth", "--exps", "1,2", "--n-list", "5000"],
 ])
 def test_out_of_range_count_is_domain_error(capsys, argv):

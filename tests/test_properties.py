@@ -267,6 +267,24 @@ def test_move_scores_match_ratio_of_moved_tensor(case, seed, zeros):
         assert np.array_equal(part_nested, nested[i // 2:i + 1])
 
 
+def test_move_scores_match_on_generated_sign_rows():
+    # (15, 15) enumerates a slot past _TABLE_BITS, whose sign rows are
+    # generated rather than cached.  The diagonal entries meet every
+    # coordinate of both slots; scoring each move of all 225 entries
+    # against sub-ranges, as the property above does, takes seconds.
+    dims, exps = (15, 15), ExponentTuple.parse("1,2")
+    coeffs = _sign_tensor(dims, 4, 0.3)
+    moves = _Moves(dims, exps)
+    flat = coeffs.ravel()
+    sups, nested = moves.score(flat, moves.start(coeffs), 0, flat.size)
+    for i in range(0, flat.size, 16):
+        alternatives = [v for v in (-1.0, 0.0, 1.0) if v != flat[i]]
+        for a, value in enumerate(alternatives):
+            moved = coeffs.copy()
+            moved.flat[i] = value
+            assert moves.ratio(sups[i][a], nested[i, a]) == reference_ratio(moved, exps)
+
+
 def test_move_to_the_zero_tensor_scores_minus_inf():
     coeffs = np.zeros((2, 3))
     coeffs[1, 2] = -1.0

@@ -12,6 +12,7 @@ from mixnorms import (
     bh_upper_bound,
     certify,
     equivalence_demo,
+    forms,
     growth_witness,
     littlewood2,
     mixed_norm,
@@ -157,14 +158,22 @@ def test_optimize_never_below_start_certificate():
 
 
 def test_optimize_rejects_unaffordable_dims():
-    with pytest.raises(ValueError, match="affordable"):
-        optimize_ratio((12, 12), ExponentTuple.parse("1,2"), budget=10, seed=0)
+    # the exact kernel's work on (19, 19) is 2^18 * 19 terms, over 2^22
+    with pytest.raises(ValueError, match=r"2\^18 \* 19 terms .* affordable"):
+        optimize_ratio((19, 19), ExponentTuple.parse("1,2"), budget=10, seed=0)
 
 
-@pytest.mark.parametrize("dims, exps", [((20000, 1), "1,2"), ((10 ** 12,), "1")])
+def test_optimize_admits_the_largest_exact_dims():
+    # (18, 18) takes 2^17 * 18 terms of exact work, within 2^22
+    cert = optimize_ratio((18, 18), ExponentTuple.parse("1,2"), budget=10, seed=0)
+    assert cert.sup_exact
+
+
+@pytest.mark.parametrize("dims, exps", [((20000, 30), "1,2"), ((10 ** 12,), "1")])
 def test_optimize_rejects_astronomical_dims_at_once(dims, exps):
-    # 2^sum(dims) is never built (2^(10^12) would take about 125 GB): the
-    # check reads the exponent, and the message names only the exponent.
+    # Rejected before anything of the dims' size is built: the check reads
+    # the exponent of the exact kernel's work (2^29 * 20000 terms for
+    # (20000, 30)), and the message names the work by that exponent.
     with pytest.raises(ValueError, match="affordable") as info:
         optimize_ratio(dims, ExponentTuple.parse(exps), budget=10, seed=0)
     assert len(str(info.value)) < 200
@@ -195,21 +204,36 @@ def test_growth_rejects_fewer_than_one_trial():
 
 
 @pytest.mark.parametrize("dims, exps", [
-    ((11, 11), "1,2"),
-    ((3,) * 5, "8/5,8/5,8/5,8/5,8/5"),
-    ((2,) * 11, "1,2,2,2,2,2,2,2,2,2,2"),
+    ((16, 16), "1,2"),
+    ((3,) * 10, ",".join(["8/5"] * 10)),
 ])
 def test_optimize_memory_stays_bounded_on_the_largest_dims(dims, exps):
-    # the climb scores moves in blocks of bounded size, so its peak does
-    # not grow with the number of entries times the number of sign rows
+    # the moves gather each batch's sign columns instead of keeping one per
+    # entry, so the peak is a small multiple of the exact kernel's work W
+    # (4.2 and 3.7 times 8W bytes when measured; a sign column copied per
+    # entry makes it 20 times at (16, 16))
+    work = max(dims) << (sum(dims) - max(dims) - len(dims) + 1)
     tracemalloc.start()
     try:
-        cert = optimize_ratio(dims, ExponentTuple.parse(exps), budget=2_000, seed=1)
+        cert = optimize_ratio(dims, ExponentTuple.parse(exps), budget=20, seed=1, restarts=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert cert.sup_exact
-    assert peak < 8 * 2 ** 20
+    assert peak < 5 * 8 * work
+
+
+def test_optimize_caches_no_sign_table_past_the_table_bits():
+    # slots past _TABLE_BITS generate their sign rows, so a (16, 16) search
+    # leaves no 2^15-row table (4 MiB) in `_sign_vertices`'s cache
+    forms._sign_vertices.cache_clear()
+    tracemalloc.start()
+    try:
+        optimize_ratio((16, 16), ExponentTuple.parse("1,2"), budget=10, seed=0)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2 ** forms._TABLE_BITS * forms._TABLE_BITS * 8
 
 
 def test_optimize_memo_memory_stays_bounded():
@@ -303,7 +327,7 @@ def test_growth_accepts_callable_family():
 
 def test_growth_rejects_unaffordable_sizes():
     with pytest.raises(ValueError, match="affordable"):
-        growth_witness(ExponentTuple.parse("1,2"), [12], trials=1, seed=0)
+        growth_witness(ExponentTuple.parse("1,2"), [19], trials=1, seed=0)
 
 
 # ---------------------------------------------------------------------------
