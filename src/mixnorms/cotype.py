@@ -105,7 +105,8 @@ def rademacher_average(vectors, r: float, s: float) -> float:
             out = term if i else acc
             np.add(high[i, start:start + step, None], low[i], out=out)
             np.abs(out, out=out)
-            out **= r
+            if r != 1.0:
+                out **= r
             if i:
                 acc += term
         partials.append(float(_outer_sums(acc, (s, r)).sum()))

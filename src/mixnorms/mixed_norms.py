@@ -151,6 +151,12 @@ def _blocked_tensor(coeffs: np.ndarray, exps: ExponentTuple) -> tuple[np.ndarray
     return blocked, ragged
 
 
+def _power(x: np.ndarray, p: float) -> np.ndarray:
+    """x ** p, skipping the power when p = 1, where numpy has no fast path
+    (x ** 1.0 equals x bit for bit)."""
+    return x if p == 1.0 else x ** p
+
+
 def _outer_sums(inner: np.ndarray, exponents: Sequence[float]) -> np.ndarray:
     """Levels 1..k-1 of nested norms from their innermost sums.
 
@@ -160,13 +166,13 @@ def _outer_sums(inner: np.ndarray, exponents: Sequence[float]) -> np.ndarray:
     """
     out = inner
     for level in range(len(exponents) - 1, 0, -1):
-        out = (out ** (exponents[level - 1] / exponents[level])).sum(axis=-1)
+        out = _power(out, exponents[level - 1] / exponents[level]).sum(axis=-1)
     return out
 
 
 def _nested_norm(arr: np.ndarray, exponents: Sequence[float]) -> float:
     """Nested norm of a tensor with one axis per exponent, outermost first."""
-    inner = (np.abs(arr) ** exponents[-1]).sum(axis=-1)
+    inner = _power(np.abs(arr), exponents[-1]).sum(axis=-1)
     return float(_outer_sums(inner, exponents) ** (1.0 / exponents[0]))
 
 

@@ -15,7 +15,10 @@ in a fixed first-improvement scan order, with seeded random restarts.  The
 climb scores the single-entry moves in batches from cached sign
 contractions: on this alphabet every cached quantity is a small integer,
 so the updates are exact and each score equals the full ratio bit for bit.
-An optional final pass does a coordinatewise continuous line search, which
+Restarts are drawn in groups whose climbs run in lockstep, one batched
+move score per step for the whole group, and are then charged in restart
+order as if run one after another, so the groups change no result.  An
+optional final pass does a coordinatewise continuous line search, which
 rebuilds those contractions for every trial point; from scratch they give
 `certify`'s ratio bit for bit on any real tensor.
 """
@@ -41,7 +44,7 @@ from .forms import (
     lift,
     sup_norm,
 )
-from .mixed_norms import ExponentTuple, _blocked_tensor, _outer_sums, mixed_norm
+from .mixed_norms import ExponentTuple, _blocked_tensor, _outer_sums, _power, mixed_norm
 
 
 @dataclass(frozen=True)
@@ -98,19 +101,20 @@ def certify(form: MultilinearForm, exps: ExponentTuple) -> RatioCertificate:
     )
 
 
-#: The two moves of an entry with value v, indexed by v + 1, in ascending
-#: order of the new value: (change of the entry, change of |entry|^q).
+#: The two moves of an entry with value v, in ascending order of the new
+#: value, indexed [quantity, move, v + 1]: the change of the entry, and the
+#: change of |entry| (so of |entry|^q).
 _MOVES = np.array([
-    [[1.0, -1.0], [2.0, 0.0]],  # -1 -> 0, -1 -> +1
-    [[-1.0, 1.0], [1.0, 1.0]],  # 0 -> -1, 0 -> +1
-    [[-2.0, 0.0], [-1.0, -1.0]],  # +1 -> -1, +1 -> 0
+    [[1.0, -1.0, -2.0], [2.0, 1.0, -1.0]],  # to 0, -1, -1 | to +1, +1, 0
+    [[-1.0, 1.0, 0.0], [0.0, 1.0, -1.0]],  # |entry| by the same moves
 ])
 
 
 class _Moves:
     """The search's ratio model on fixed dims under one exponent tuple:
     the mixed/sup ratio of any real tensor (`ratio_of`), and exact scores
-    of the single-entry moves of {-1, 0, +1} tensors.
+    of the single-entry moves of a stack of {-1, 0, +1} tensors, one per
+    restart.
 
     The sup norm takes the largest slot in closed form, as `_exact_sup`
     does: with G (P x d_last) the contraction of the coefficients with
@@ -120,26 +124,38 @@ class _Moves:
     `_max_l1`'s order.  Entry i only feeds column l_i of G, through its
     Kronecker sign column s_i, gathered per batch from each slot's table
     at the entry's coordinate; moving it by delta changes G[:, l_i] by
-    delta * s_i and R by the change of |G[:, l_i]|.  The nested norm keeps F, the innermost fiber
-    sums of |blocked|^q_last; a move changes one entry of F (none when the
-    entry is off every block diagonal), and the upper levels are
-    recomputed by `_outer_sums`, the helper of `_nested_norm`.  The fiber
-    each entry feeds is read off `_blocked_tensor` of the tensor of flat
-    entry indices, the layout `mixed_norm` blocks with.  Built from
-    scratch, the state gives `certify`'s ratio bit for bit on any real
-    tensor.  With coefficients in {-1, 0, +1}, G, R and F hold small
-    integers, so every update is exact and each score equals `ratio_of`
-    of the moved tensor bit for bit.
+    delta * s_i and R by the change of |G[:, l_i]|.  The nested norm keeps
+    F, the innermost fiber sums of |blocked|^q_last; a move changes one
+    entry of F (none when the entry is off every block diagonal), and the
+    upper levels are recomputed by `_outer_sums`, the helper of
+    `_nested_norm`.  The fiber each entry feeds is read off
+    `_blocked_tensor` of the tensor of flat entry indices, the layout
+    `mixed_norm` blocks with; a stack is blocked with its restart axis as
+    one more singleton block.  A move between -1 and +1 keeps F, and both
+    moves of a zero entry make the same F, so a batch needs one trial F
+    per entry.
+
+    The state (G transposed, R, F) has a leading restart axis, and `score`
+    and `move` act on many restarts per call.  Where there are fewer sign
+    rows than a climb scores entries per step (small dims), the sign rows
+    lead the move arrays, so the sup is a max across rows of whole
+    vectors; otherwise the entries lead.  Built from scratch, the state
+    gives `certify`'s ratio bit for bit on any real tensor.  With
+    coefficients in {-1, 0, +1}, G, R and F hold small integers, so every
+    update is exact and each score equals `ratio_of` of the moved tensor
+    bit for bit.  Ratios are formed from Python floats (`ratio`), whose
+    power is numpy's scalar power.
     """
 
     def __init__(self, dims: tuple[int, ...], exps: ExponentTuple):
         self.order = _slot_order(dims)
+        self.axes = (0, *(1 + i for i in self.order))  # of a stack, behind its restart axis
         *head, last = self.order
-        # Slot head[j]'s sign rows transposed (d x rows), and each entry's
-        # coordinate there: int8, as a slot whose table fits has d < 128.
-        self.tables = [np.ascontiguousarray(_sign_block(dims[i], 0, 2 ** (dims[i] - 1)).T)
-                       for i in head]
-        entries = np.arange(math.prod(dims))
+        # Slot head[j]'s sign rows (rows x d), and each entry's coordinate
+        # there: int8, as a slot whose table fits has d < 128.
+        blocks = [_sign_block(dims[i], 0, 2 ** (dims[i] - 1)) for i in head]
+        # int32 indices: N <= W <= 2^22 entries.
+        entries = np.arange(math.prod(dims), dtype=np.int32)
         self.column = entries // math.prod(dims[last + 1:]) % dims[last]
         self.coords = [(entries // math.prod(dims[i + 1:]) % dims[i]).astype(np.int8) for i in head]
 
@@ -147,142 +163,215 @@ class _Moves:
         # fiber sums; entries off every block diagonal keep fiber -1.
         blocked, _ = _blocked_tensor(entries.reshape(dims), exps)
         self.fiber_shape = blocked.shape[:-1]
-        self.fibers = np.arange(math.prod(self.fiber_shape))
-        self.fiber = np.full(entries.size, -1)
+        self.fibers = np.arange(math.prod(self.fiber_shape), dtype=np.int32)
+        self.fiber = np.full(entries.size, -1, dtype=np.int32)
         self.fiber[blocked.reshape(self.fibers.size, -1)] = self.fibers[:, None]
 
-        self.exps = exps
+        # A stack's restart axis is blocked as one more singleton block.
+        self.stacked = ExponentTuple(((1, 1.0),) + exps.blocks)
         self.exponents = exps.exponents
         self.root = 1.0 / self.exponents[0]
-        width = max(math.prod(t.shape[1] for t in self.tables), self.fibers.size)
+        signs = math.prod(len(b) for b in blocks)
+        width = max(signs, self.fibers.size)
         self.block = max(1, _CHUNK // (2 * width))
+        # Leading sign rows read the tables as they are, leading entries
+        # read each one transposed (d x rows).
+        self.lead = signs < min(entries.size, self.block)
+        self.tables = blocks if self.lead else [np.ascontiguousarray(b.T) for b in blocks]
 
-    def _signs(self, lo: int, hi: int) -> np.ndarray:
-        """Kronecker sign columns s_i of entries lo..hi-1, one per row."""
+    def _signs(self, entries: np.ndarray) -> np.ndarray:
+        """Kronecker sign columns s_i of the given entries, one per column
+        when the sign rows lead, else one per row."""
+        n = len(entries)
         if not self.tables:
-            return np.ones((hi - lo, 1))
-        s = self.tables[0].take(self.coords[0][lo:hi], axis=0)
+            return np.ones((1, n) if self.lead else (n, 1))
+        axis = 1 if self.lead else 0
+        s = self.tables[0].take(self.coords[0][entries], axis=axis)
         for t, c in zip(self.tables[1:], self.coords[1:]):
-            s = (s[:, :, None] * t.take(c[lo:hi], axis=0)[:, None, :]).reshape(hi - lo, -1)
+            u = t.take(c[entries], axis=axis)
+            if self.lead:
+                s = (s[:, None, :] * u).reshape(-1, n)
+            else:
+                s = (s[:, :, None] * u[:, None, :]).reshape(n, -1)
         return s
 
     def _levels(self, inner: np.ndarray) -> np.ndarray:
         """Upper levels of the nested norm from innermost fiber sums of
-        shape (..., fibers); returns the outermost sums before the root,
-        a numpy scalar for one tensor, whose power is `_nested_norm`'s."""
-        return _outer_sums(inner.reshape(inner.shape[:-1] + self.fiber_shape), self.exponents)[()]
+        shape (..., fibers); returns the outermost sums before the root."""
+        return _outer_sums(inner.reshape(inner.shape[:-1] + self.fiber_shape), self.exponents)
 
-    def start(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(G transposed, R, F) of a real tensor."""
-        g = np.transpose(coeffs, self.order).reshape(1, -1)
+    def start(self, stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(G transposed, R, F) of each real tensor of a stack."""
+        n = len(stack)
+        g = stack.transpose(self.axes).reshape(n, -1)
         for t in self.tables:
+            t = t if self.lead else t.T
             # (sign rows so far, this slot, rest) -> (rows so far, rows of this slot, rest)
-            rest = g.shape[1] // len(t)
-            g = np.matmul(t.T, g.reshape(len(g), len(t), rest)).reshape(-1, rest)
-        blocked, _ = _blocked_tensor(coeffs, self.exps)
-        inner = (np.abs(blocked) ** self.exponents[-1]).sum(axis=-1).reshape(-1)
-        g_t = np.ascontiguousarray(g.T)
-        return g_t, np.abs(g_t).sum(axis=0), inner
+            rest = g.shape[1] // t.shape[1]
+            g = np.matmul(t, g.reshape(len(g), t.shape[1], rest)).reshape(-1, rest)
+        g_t = np.ascontiguousarray(g.reshape(n, -1, g.shape[1]).transpose(0, 2, 1))
+        blocked, _ = _blocked_tensor(stack, self.stacked)
+        inner = _power(np.abs(blocked), self.exponents[-1]).sum(axis=-1).reshape(n, -1)
+        return g_t, np.abs(g_t).sum(axis=1), inner
 
-    def ratio(self, sup: float, nested) -> float:
-        """mixed/sup from a sup and the outermost nested sum, as
-        `certify` forms it (the scalar power of a numpy float); -inf for
-        the zero tensor, so moves to it are never accepted."""
+    def ratio(self, sup: float, nested: float) -> float:
+        """mixed/sup from a sup and the outermost nested sum, as `certify`
+        forms it: Python floats, whose power is numpy's scalar power; -inf
+        for the zero tensor, so moves to it are never accepted."""
         if sup == 0.0:
             return -math.inf
-        return float(nested ** self.root) / sup
+        return nested ** self.root / sup
 
-    def base(self, state) -> float:
+    def ratios(self, state) -> list[float]:
+        """The ratio of each tensor of the stack."""
         g_t, row_l1, inner = state
-        return self.ratio(float(row_l1.max()), self._levels(inner))
+        return list(map(self.ratio, row_l1.max(axis=1).tolist(), self._levels(inner).tolist()))
 
     def ratio_of(self, coeffs: np.ndarray) -> float:
         """mixed/sup ratio of a real tensor on these dims."""
-        return self.base(self.start(coeffs))
+        return self.ratios(self.start(coeffs[None]))[0]
 
-    def score(self, flat: np.ndarray, state, lo: int, hi: int) -> tuple[list, np.ndarray]:
-        """Sups and outermost nested sums of the moves of entries lo..hi-1
-        to their two other values (ascending), each of shape (hi-lo, 2)."""
+    def score(self, flats: np.ndarray, state, rows: np.ndarray,
+              entries: np.ndarray) -> tuple[list, list]:
+        """Sups and outermost nested sums of the moves of entry entries[j]
+        of tensor rows[j] to its two other values, in ascending order at
+        positions 2j and 2j + 1 of each list."""
         g_t, row_l1, inner = state
-        change = _MOVES[(flat[lo:hi] + 1.0).astype(np.intp)]
-        col = g_t[self.column[lo:hi]]
-        moved = np.abs(col[:, None, :] + change[:, :, 0, None] * self._signs(lo, hi)[:, None, :])
-        sup = (moved + (row_l1 - np.abs(col))[:, None, :]).max(axis=-1)
-        trial = inner + change[:, :, 1, None] * (self.fiber[lo:hi, None, None] == self.fibers)
-        return sup.tolist(), self._levels(trial)
+        old = flats[rows, entries]
+        delta, grow = _MOVES.take((old + 1.0).astype(np.intp), axis=2)
+        col = g_t[rows, self.column[entries]]
+        rest = row_l1[rows]
+        if self.lead:  # the sup is a max across sign rows of whole vectors
+            col, rest = col.T, rest.T
+            moved = np.einsum("pn,an->pan", self._signs(entries), delta)
+        else:
+            moved = self._signs(entries)[:, None, :] * delta.T[:, :, None]
+        moved += col[:, None, :]
+        np.abs(moved, out=moved)
+        rest -= np.abs(col)
+        moved += rest[:, None, :]
+        sup = moved.max(axis=0).T if self.lead else moved.max(axis=2)
+        # The one trial F of each entry: |entry| lowered to 0 or raised from 0.
+        on = self.fiber[entries, None] == self.fibers
+        trial = inner[rows] + (1.0 - 2.0 * np.abs(old))[:, None] * on
+        nested = np.where(grow == 0.0, self._levels(inner)[rows], self._levels(trial))
+        return sup.ravel().tolist(), nested.T.ravel().tolist()
 
-    def move(self, flat: np.ndarray, state, i: int, new: float) -> None:
-        """Set entry i to `new`, updating the state in place."""
+    def move(self, flats: np.ndarray, state, rows: np.ndarray, entries: np.ndarray,
+             values: np.ndarray) -> None:
+        """Set entry entries[j] of tensor rows[j] to values[j], at most one
+        entry per tensor, updating the state in place."""
         g_t, row_l1, inner = state
-        old = flat[i]
-        col = g_t[self.column[i]]
-        moved = col + (new - old) * self._signs(i, i + 1)[0]
-        row_l1 += np.abs(moved) - np.abs(col)
-        col[:] = moved
-        if self.fiber[i] >= 0:
-            inner[self.fiber[i]] += abs(new) - abs(old)
-        flat[i] = new
+        old = flats[rows, entries]
+        columns = self.column[entries]
+        col = g_t[rows, columns]
+        signs = self._signs(entries)
+        moved = col + (values - old)[:, None] * (signs.T if self.lead else signs)
+        row_l1[rows] += np.abs(moved) - np.abs(col)
+        g_t[rows, columns] = moved
+        fiber = self.fiber[entries]
+        on = fiber >= 0
+        inner[rows[on], fiber[on]] += np.abs(values[on]) - np.abs(old[on])
+        flats[rows, entries] = values
 
 
-def _climb(coeffs: np.ndarray, moves: _Moves, budget: int) -> tuple[np.ndarray, float, int]:
-    """First-improvement hill climbing over single entries in {-1, 0, +1}.
-
-    Scans entries in C order, trying alternative values in the fixed order
-    (-1, 0, +1); a strictly better ratio is accepted immediately, and the
-    entry's remaining values are still tried against it.  Stops at a local
-    optimum or when the evaluation budget runs out; each tried value costs
-    one evaluation, and so does the starting ratio.
-
-    The moves are scored in batches of entries by `_Moves`, exactly and
-    bit for bit as `_Moves.ratio_of` would score the moved tensors.  After
-    an acceptance the batch is dropped and scoring resumes at the next
-    entry.  A value equal to the entry's value before its scan scores the
-    ratio the scan started from.
-
-    The climb is a pure function of its start and budget, and a run that
-    spends s evaluations under budget b returns the same tensor, ratio and
-    count under every budget from s to b.  In a run that ends at a local
-    optimum no budget check fires, and a run that stops on its budget has
-    s = b.  `optimize_ratio` memoises climbs on this.
-    """
-    state = moves.start(coeffs)
-    current = moves.base(state)
-    used = 1
-    flat = coeffs.ravel()
-    improved = True
-    while improved and used < budget:
-        improved = False
-        lo = 0
-        while lo < flat.size:
-            hi = min(flat.size, lo + moves.block)
-            sups, nested = moves.score(flat, state, lo, hi)
-            for i in range(lo, hi):
-                before = current
-                old = new = flat[i]
-                a = 0
-                for candidate in (-1.0, 0.0, 1.0):
-                    if candidate == new:
-                        continue
-                    if used >= budget:
-                        flat[i] = new
-                        return coeffs, current, used
-                    used += 1
-                    if candidate == old:
-                        trial = before
-                    else:
-                        trial = moves.ratio(sups[i - lo][a], nested[i - lo, a])
-                        a += 1
-                    if trial > current:
-                        current = trial
-                        new = candidate
-                if new != old:
-                    moves.move(flat, state, i, new)
-                    improved = True
-                    lo = i + 1
-                    break
+def _scan(values: list, sups: list, nested: list, moves: _Moves, current: float,
+          used: int, budget: int) -> tuple[int, float | None, float, int, bool]:
+    """One climb's first-improvement scan of its batch: entry t has value
+    values[t] and move scores at 2t and 2t + 1 of sups and nested.
+    Returns (t, new value or None, ratio, evaluations, stopped) at the
+    first entry that moves or at which the budget runs out, and t =
+    len(values) if neither happens."""
+    for t, old in enumerate(values):
+        before = current
+        new = old
+        a = 2 * t
+        for candidate in (-1.0, 0.0, 1.0):
+            if candidate == new:
+                continue
+            if used >= budget:
+                return t, None if new == old else new, current, used, True
+            used += 1
+            if candidate == old:
+                trial = before
             else:
-                lo = hi
-    return coeffs, current, used
+                trial = moves.ratio(sups[a], nested[a])
+                a += 1
+            if trial > current:
+                current = trial
+                new = candidate
+        if new != old:
+            return t, new, current, used, False
+    return len(values), None, current, used, False
+
+
+def _climb(stack: np.ndarray, moves: _Moves, budget: int) -> tuple[np.ndarray, list, list]:
+    """First-improvement hill climbs over single entries in {-1, 0, +1},
+    one from each tensor of a stack, run in lockstep.
+
+    A climb scans entries in C order, trying alternative values in the
+    fixed order (-1, 0, +1); a strictly better ratio is accepted
+    immediately, and the entry's remaining values are still tried against
+    it.  It stops at a local optimum or when its `budget` evaluations run
+    out; each tried value costs one evaluation, and so does the starting
+    ratio.
+
+    Each step scores the next batch of entries of every running climb in
+    one `_Moves.score` call, exactly and bit for bit as `_Moves.ratio_of`
+    would score the moved tensors; each climb then scans its own scores,
+    and the moves they accept are applied in one `_Moves.move` call.
+    After an acceptance a climb drops the rest of its batch and resumes at
+    the next entry.  A value equal to the entry's value before its scan
+    scores the ratio the scan started from.
+
+    Each climb is a pure function of its start and budget, whatever else
+    the stack holds, and a climb that spends s evaluations under budget b
+    returns the same tensor, ratio and count under every budget from s to
+    b.  In a climb that ends at a local optimum no budget check fires, and
+    a climb that stops on its budget has s = b.  `optimize_ratio` memoises
+    climbs on this.  Returns the stack, climbed in place, and each climb's
+    ratio and evaluations.
+    """
+    flats = stack.reshape(len(stack), -1)
+    size = flats.shape[1]
+    batch = min(size, moves.block)
+    state = moves.start(stack)
+    current = moves.ratios(state)
+    used = [1] * len(stack)
+    first = [0] * len(stack)
+    improved = [False] * len(stack)
+    offsets = np.arange(batch)
+    live = list(range(len(stack))) if budget > 1 else []
+    while live:
+        rows = np.repeat(live, batch)
+        # A batch that runs past the last entry rescores the last entry.
+        entries = np.minimum(np.array([first[r] for r in live])[:, None] + offsets,
+                             size - 1).ravel()
+        sups, nested = moves.score(flats, state, rows, entries)
+        values = flats[rows, entries].tolist()
+        moved, running = [], []
+        for j, r in enumerate(live):
+            lo = j * batch
+            hi = lo + min(batch, size - first[r])
+            t, new, current[r], used[r], stopped = _scan(
+                values[lo:hi], sups[2 * lo:2 * hi], nested[2 * lo:2 * hi], moves, current[r],
+                used[r], budget)
+            if new is not None:
+                moved.append((r, first[r] + t, new))
+                improved[r] = True
+                t += 1
+            first[r] += t
+            if stopped:
+                continue
+            if first[r] >= size:
+                if not improved[r] or used[r] >= budget:
+                    continue
+                first[r], improved[r] = 0, False
+            running.append(r)
+        if moved:
+            moves.move(flats, state, *(np.array(c) for c in zip(*moved)))
+        live = running
+    return stack, current, used
 
 
 def _refine(coeffs: np.ndarray, ratio_fn, budget: int) -> tuple[np.ndarray, float, int]:
@@ -350,13 +439,24 @@ def optimize_ratio(
     start's climb (final tensor, ratio, evaluations) and reuses it, charging
     its evaluations, while they fit the budget left; otherwise the climb
     reruns on what is left.  Since a climb gives the same result under
-    every budget it did not reach, this changes no result.
+    every budget it did not reach, this changes no result.  Restarts are
+    drawn in groups: the distinct starts of a group that the call has not
+    climbed yet climb in lockstep, each under the budget left at the
+    group's start, and the group is then charged in restart order by that
+    rule.  A group holds as many restarts as the budget left pays for at
+    the mean cost so far, counting one more restart at twice the least
+    cost of a climb (2N + 1 evaluations for N entries) plus, with
+    `refine`, a full polish.
+    A group of several restarts scores at most a quarter of `_Moves.block`
+    entries per step.
 
     Dims are admitted iff `sup_norm` is exact on them at the default
     budget (`_exact_work_fits`).  The budget counts evaluations, not work
     (ROADMAP item 3): each scores a move against W / max(dims) sign rows,
     W being that exact work.  Peak memory is c * 8W bytes plus a few
-    `_CHUNK` blocks, with c from 4 to 16 (README, Notes on exactness).
+    `_CHUNK` blocks, with c about 4 where W is much larger than the number
+    N of entries, and 14.5 at (2,)^16, where N = W (README, Notes on
+    exactness).
     """
     dims = _checked_dims(dims)
     if seed < 0:
@@ -381,30 +481,52 @@ def optimize_ratio(
     if math.isinf(top):
         raise ValueError(f"mixed norm under {exps} overflows float64")
 
+    # A climb that its budget does not stop ends with a pass over all 2N
+    # moves (2N + 1 evaluations with its start), and a full polish takes
+    # its start and 2 sweeps of N line searches of 26 evaluations; the
+    # group rule's extra restart costs twice the first plus the second.
+    # A step's temporaries are about four arrays of entries x 2 x width
+    # floats, so a group's steps score at most block / 4 entries: one
+    # `_CHUNK` block in all.
+    size = math.prod(dims)
+    prior = 4 * size + 2 + (52 * size + 1 if refine else 0)
+    most = max(1, moves.block // 4 // min(size, moves.block))
     climbs: dict[bytes, tuple[bytes, float, int]] = {}
+
+    def climb(stack: np.ndarray) -> list[tuple[bytes, float, int]]:
+        """Memo entries of the climbs of a stack on the budget left."""
+        finals, ratios, spent = _climb(stack, moves, budget - used)
+        return list(zip((final.tobytes() for final in finals.astype(np.int8)), ratios, spent))
+
     best_key: tuple[float, int] | None = None
     best_coeffs: np.ndarray | None = None
     used = 0
     k = 0
     while used < budget and (restarts is None or k < restarts):
-        coeffs = _random_signs(dims, seed + k)
-        start = np.packbits(coeffs > 0).tobytes()
-        cached = climbs.get(start)
-        if cached is not None and cached[2] <= budget - used:
-            final, ratio, spent = cached
-            coeffs = np.frombuffer(final, dtype=np.int8).reshape(dims).astype(float)
-        else:
-            coeffs, ratio, spent = _climb(coeffs, moves, budget - used)
-            climbs[start] = (coeffs.astype(np.int8).tobytes(), ratio, spent)
-        used += spent
-        if refine and used < budget:
-            coeffs, ratio, spent = _refine(coeffs, moves.ratio_of, budget - used)
+        group = max(1, min(most, (budget - used) * (k + 1) // (used + prior)))
+        if restarts is not None:
+            group = min(group, restarts - k)
+        starts = np.stack([_random_signs(dims, seed + k + j) for j in range(group)])
+        keys = [bits.tobytes() for bits in np.packbits(starts.reshape(group, -1) > 0, axis=1)]
+        fresh = {key: j for j, key in enumerate(keys) if key not in climbs}
+        if fresh:
+            climbs.update(zip(fresh, climb(starts[list(fresh.values())])))
+        for j, start in enumerate(keys):
+            if used >= budget:
+                break
+            final, ratio, spent = climbs[start]
+            if spent > budget - used:
+                climbs[start] = final, ratio, spent = climb(starts[[j]])[0]
             used += spent
-        key = (ratio, seed + k)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_coeffs = coeffs.copy()
-        k += 1
+            coeffs = np.frombuffer(final, dtype=np.int8).reshape(dims)
+            if refine and used < budget:
+                coeffs, ratio, spent = _refine(coeffs.astype(float), moves.ratio_of, budget - used)
+                used += spent
+            key = (ratio, seed + k)
+            if best_key is None or key > best_key:
+                best_key = key
+                best_coeffs = coeffs
+            k += 1
 
     found = MultilinearForm(best_coeffs, label=f"optimized{dims}")
     return replace(certify(found, exps), seed=seed, budget=budget)

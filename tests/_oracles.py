@@ -174,7 +174,9 @@ def sequential_optimize(dims, exps, budget, seed, restarts=None, refine=False):
     used = 0
     k = 0
     while used < budget and (restarts is None or k < restarts):
-        coeffs, ratio, spent = _climb(_random_signs(dims, seed + k), moves, budget - used)
+        climbed, (ratio,), (spent,) = _climb(_random_signs(dims, seed + k)[None], moves,
+                                             budget - used)
+        coeffs = climbed[0]
         used += spent
         if refine and used < budget:
             coeffs, ratio, spent = _refine(coeffs, lambda c: reference_ratio(c, exps),

@@ -3,13 +3,16 @@
 The exact sup norm and the nested mixed norm are checked against the
 brute-force oracles, and the search's ratio model against the certificate,
 on random dims with the largest slot (and ties) in every position; the
-climb's batched move scores are checked against the certificate's ratio
-of each moved tensor.
+climb's batched move scores, over stacks of tensors, are checked against
+the certificate's ratio of each moved tensor, and skipped unit powers
+against explicit ones.
 `sup_norm` is exact exactly when the exact kernel's work fits its budget.  The
 split-sum Rademacher average is checked against the full enumeration, and
-the lockstep heuristic sup norm against its restarts run one by one.  The
-climb returns the same result under every budget it did not reach, and
-the optimizer's climb memo changes no result of the restart loop.
+the lockstep heuristic sup norm against its restarts run one by one.
+Climbs run in lockstep follow the per-candidate climb of each start, and
+return the same result under every budget they did not reach; the
+optimizer's groups of restarts and its climb memo change no result of the
+restart loop.
 Hypothesis runs derandomized with a bounded number of examples, so the
 suite stays deterministic and fast.
 """
@@ -19,7 +22,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mixnorms import (
     ExponentTuple,
@@ -31,9 +34,9 @@ from mixnorms import (
     search,
     sup_norm,
 )
-from mixnorms.forms import _ascent_sup
+from mixnorms.forms import _ascent_sup, _random_signs
 from mixnorms.mixed_norms import _nested_norm, _outer_sums
-from mixnorms.search import _Moves, _climb
+from mixnorms.search import _Moves, _climb, _refine
 
 from _oracles import (
     brute_mixed,
@@ -206,6 +209,26 @@ def test_outer_sums_batch_independent_tensors(data, dims, seed, batch):
         assert float(batched[b] ** (1.0 / exponents[0])) == _nested_norm(stack[b], exponents)
 
 
+def _explicit_nested_norm(arr, exponents):
+    """`_nested_norm` with every power taken by np.power, unit ones too."""
+    out = np.power(np.abs(arr), exponents[-1]).sum(axis=-1)
+    for level in range(len(exponents) - 1, 0, -1):
+        out = np.power(out, exponents[level - 1] / exponents[level]).sum(axis=-1)
+    return float(out ** (1.0 / exponents[0]))
+
+
+@PROPERTY
+@given(dims=DIMS, seed=SEEDS, integer=st.booleans(),
+       pool=st.lists(st.sampled_from([1.0, 1.5, 2.0]), min_size=4, max_size=4))
+@example(dims=[3, 3, 2], seed=0, integer=False, pool=[2.0, 2.0, 1.0, 1.0])
+def test_unit_powers_are_skipped_bit_for_bit(dims, seed, integer, pool):
+    # Repeated exponents give unit level ratios; q_last = 1 skips the inner power.
+    exponents = pool[:len(dims)]
+    assume(exponents[-1] == 1.0 or any(a == b for a, b in zip(exponents, exponents[1:])))
+    coeffs = _coeffs(dims, seed, integer)
+    assert _nested_norm(coeffs, exponents) == _explicit_nested_norm(coeffs, exponents)
+
+
 @PROPERTY
 @given(n=st.integers(1, 10), d=st.integers(1, 5), seed=SEEDS,
        r=st.one_of(st.just(2.0), st.floats(1.0, 3.0)), s=st.floats(0.3, 4.0))
@@ -241,6 +264,11 @@ def _dims_and_tuple(draw):
     return dims, _exponent_tuple(draw, len(dims))
 
 
+def _stack(dims, seed, zeros, count):
+    """`count` {-1, 0, +1} tensors stacked along a leading restart axis."""
+    return np.stack([_sign_tensor(dims, seed + i, zeros) for i in range(count)])
+
+
 @pytest.mark.filterwarnings("ignore::mixnorms.RaggedBlockWarning")
 @PROPERTY
 @given(case=_dims_and_tuple(), seed=SEEDS, zeros=ZEROS)
@@ -248,23 +276,42 @@ def _dims_and_tuple(draw):
 @example(case=([3, 2, 2], ExponentTuple.parse("2:1|1:2")), seed=1, zeros=0.3)  # ragged block
 @example(case=([2, 3, 2], ExponentTuple.parse("3:1")), seed=2, zeros=0.3)  # one ragged block
 @example(case=([3], ExponentTuple.parse("1")), seed=3, zeros=0.3)  # degree 1
+@example(case=([4, 4, 4], ExponentTuple.parse("1,2,2")), seed=4, zeros=0.3)  # entries lead
 def test_move_scores_match_ratio_of_moved_tensor(case, seed, zeros):
+    # Every move of both tensors of a stack, scored in one call in a
+    # shuffled order, and again in a sub-batch.
     dims, exps = case
-    coeffs = _sign_tensor(dims, seed, zeros)
+    stack = _stack(dims, seed, zeros, 2)
     moves = _Moves(tuple(dims), exps)
-    state = moves.start(coeffs)
-    flat = coeffs.ravel()
-    assert moves.base(state) == reference_ratio(coeffs, exps)
-    sups, nested = moves.score(flat, state, 0, flat.size)
-    for i, old in enumerate(flat.tolist()):
-        alternatives = [v for v in (-1.0, 0.0, 1.0) if v != old]
+    state = moves.start(stack)
+    flats = stack.reshape(len(stack), -1)
+    assert moves.ratios(state) == [reference_ratio(c, exps) for c in stack]
+    order = np.random.default_rng(seed).permutation(flats.size)
+    rows, entries = np.divmod(order, flats.shape[1])
+    sups, nested = moves.score(flats, state, rows, entries)
+    for j, (r, i) in enumerate(zip(rows.tolist(), entries.tolist())):
+        alternatives = [v for v in (-1.0, 0.0, 1.0) if v != flats[r, i]]
         for a, value in enumerate(alternatives):
-            moved = coeffs.copy()
+            moved = stack[r].copy()
             moved.flat[i] = value
-            assert moves.ratio(sups[i][a], nested[i, a]) == reference_ratio(moved, exps)
-        part_sups, part_nested = moves.score(flat, state, i // 2, i + 1)
-        assert part_sups == sups[i // 2:i + 1]
-        assert np.array_equal(part_nested, nested[i // 2:i + 1])
+            assert moves.ratio(sups[2 * j + a], nested[2 * j + a]) == reference_ratio(moved, exps)
+    lo = seed % flats.size
+    hi = lo + 1 + seed // flats.size % (flats.size - lo)
+    part_sups, part_nested = moves.score(flats, state, rows[lo:hi], entries[lo:hi])
+    assert part_sups == sups[2 * lo:2 * hi]
+    assert part_nested == nested[2 * lo:2 * hi]
+
+
+def _single(n):
+    """Restart rows of n moves of the one tensor of a stack."""
+    return np.zeros(n, dtype=np.intp)
+
+
+def test_move_examples_take_both_layouts():
+    # Sign rows lead the move arrays when there are fewer of them than
+    # entries in a climb's batch; the examples above cover both sides.
+    assert _Moves((2, 2, 2), ExponentTuple.parse("2:1|1:2")).lead
+    assert not _Moves((4, 4, 4), ExponentTuple.parse("1,2,2")).lead
 
 
 def test_move_scores_match_on_generated_sign_rows():
@@ -276,21 +323,23 @@ def test_move_scores_match_on_generated_sign_rows():
     coeffs = _sign_tensor(dims, 4, 0.3)
     moves = _Moves(dims, exps)
     flat = coeffs.ravel()
-    sups, nested = moves.score(flat, moves.start(coeffs), 0, flat.size)
+    sups, nested = moves.score(flat[None], moves.start(coeffs[None]), _single(flat.size),
+                               np.arange(flat.size))
     for i in range(0, flat.size, 16):
         alternatives = [v for v in (-1.0, 0.0, 1.0) if v != flat[i]]
         for a, value in enumerate(alternatives):
             moved = coeffs.copy()
             moved.flat[i] = value
-            assert moves.ratio(sups[i][a], nested[i, a]) == reference_ratio(moved, exps)
+            assert moves.ratio(sups[2 * i + a], nested[2 * i + a]) == reference_ratio(moved, exps)
 
 
 def test_move_to_the_zero_tensor_scores_minus_inf():
     coeffs = np.zeros((2, 3))
     coeffs[1, 2] = -1.0
     moves = _Moves((2, 3), ExponentTuple.parse("1,2"))
-    sups, nested = moves.score(coeffs.ravel(), moves.start(coeffs), 5, 6)
-    to_zero, to_one = (moves.ratio(sup, n) for sup, n in zip(sups[0], nested[0]))
+    sups, nested = moves.score(coeffs.reshape(1, -1), moves.start(coeffs[None]), _single(1),
+                               np.array([5]))
+    to_zero, to_one = (moves.ratio(sup, n) for sup, n in zip(sups, nested))
     assert (to_zero, to_one) == (-math.inf, 1.0)
 
 
@@ -298,15 +347,19 @@ def test_move_to_the_zero_tensor_scores_minus_inf():
 @PROPERTY
 @given(data=st.data(), case=_dims_and_tuple(), seed=SEEDS, zeros=ZEROS)
 def test_applied_moves_keep_the_state_exact(data, case, seed, zeros):
+    # Each call moves one entry of some of the stack's tensors.
     dims, exps = case
-    coeffs = _sign_tensor(dims, seed, zeros)
+    stack = _stack(dims, seed, zeros, 3)
     moves = _Moves(tuple(dims), exps)
-    state = moves.start(coeffs)
-    flat = coeffs.ravel()
+    state = moves.start(stack)
+    flats = stack.reshape(len(stack), -1)
     for _ in range(data.draw(st.integers(1, 12))):
-        moves.move(flat, state, data.draw(st.integers(0, flat.size - 1)),
-                   data.draw(st.sampled_from([-1.0, 0.0, 1.0])))
-    for kept, fresh in zip(state, moves.start(coeffs)):
+        rows = np.array(data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3,
+                                           unique=True)))
+        entries = np.array([data.draw(st.integers(0, flats.shape[1] - 1)) for _ in rows])
+        values = np.array([data.draw(st.sampled_from([-1.0, 0.0, 1.0])) for _ in rows])
+        moves.move(flats, state, rows, entries, values)
+    for kept, fresh in zip(state, moves.start(stack)):
         assert np.array_equal(kept, fresh)
 
 
@@ -337,33 +390,40 @@ def _reference_climb(coeffs, ratio_fn, budget):
 
 @pytest.mark.filterwarnings("ignore::mixnorms.RaggedBlockWarning")
 @PROPERTY
-@given(case=_dims_and_tuple(), seed=SEEDS, zeros=ZEROS,
+@given(case=_dims_and_tuple(), seed=SEEDS, zeros=ZEROS, count=st.integers(1, 4),
        budget=st.integers(1, 400), block=st.sampled_from([None, 1, 2, 5]))
-def test_climb_follows_the_per_candidate_trajectory(case, seed, zeros, budget, block):
+@example(case=([4, 4, 4], ExponentTuple.parse("1,2,2")), seed=5, zeros=0.3, count=2,
+         budget=400, block=None)  # entries lead
+def test_climb_follows_the_per_candidate_trajectory(case, seed, zeros, count, budget, block):
+    # Several starts climbed in lockstep each follow their own climb.
     dims, exps = case
-    coeffs = _sign_tensor(dims, seed, zeros)
+    stack = _stack(dims, seed, zeros, count)
     moves = _Moves(tuple(dims), exps)
     if block is not None:
         moves.block = block  # scoring in small blocks crosses block edges often
-    got = _climb(coeffs.copy(), moves, budget)
-    want = _reference_climb(coeffs.copy(), lambda c: reference_ratio(c, exps), budget)
-    assert np.array_equal(got[0], want[0])
-    assert got[1:] == want[1:]
+    finals, ratios, used = _climb(stack.copy(), moves, budget)
+    for start, final, ratio, spent in zip(stack, finals, ratios, used):
+        want = _reference_climb(start.copy(), lambda c: reference_ratio(c, exps), budget)
+        assert np.array_equal(final, want[0])
+        assert (ratio, spent) == want[1:]
 
 
 @pytest.mark.filterwarnings("ignore::mixnorms.RaggedBlockWarning")
 @PROPERTY
 @given(data=st.data(), case=_dims_and_tuple(), seed=SEEDS, zeros=ZEROS,
-       budget=st.integers(1, 400))
-def test_climb_is_the_same_under_every_budget_it_did_not_reach(data, case, seed, zeros, budget):
-    # the invariant the optimizer's climb memo rests on
+       count=st.integers(1, 4), budget=st.integers(1, 400))
+def test_climb_is_the_same_under_every_budget_it_did_not_reach(data, case, seed, zeros,
+                                                                count, budget):
+    # the invariant the optimizer's climb memo rests on, for a climb run
+    # alone or in a stack with others
     dims, exps = case
-    coeffs = _sign_tensor(dims, seed, zeros)
+    stack = _stack(dims, seed, zeros, count)
     moves = _Moves(tuple(dims), exps)
-    want = _climb(coeffs.copy(), moves, budget)
-    got = _climb(coeffs.copy(), moves, data.draw(st.integers(want[2], budget)))
-    assert np.array_equal(got[0], want[0])
-    assert got[1:] == want[1:]
+    finals, ratios, used = _climb(stack.copy(), moves, budget)
+    i = data.draw(st.integers(0, count - 1))
+    got = _climb(stack[i:i + 1].copy(), moves, data.draw(st.integers(used[i], budget)))
+    assert np.array_equal(got[0][0], finals[i])
+    assert (got[1][0], got[2][0]) == (ratios[i], used[i])
 
 
 @st.composite
@@ -378,6 +438,12 @@ def _small_dims_and_tuple(draw):
 #: left has fallen below its cached count, so the memo reruns its climb.
 RERUN_SEEDS = [1, 18]
 
+#: (2, 2) `1,2` runs at the edges of a group of restarts climbed in
+#: lockstep: (budget, seed, restarts).
+LAST_RESTART_CUT_INSIDE_A_GROUP = (150, 0, None)  # later draws of its group go unpaid
+FEWER_RESTARTS_THAN_A_GROUP = (100, 0, 3)
+START_REPEATED_IN_ITS_GROUP = (200, 0, None)  # a memo hit on this group's own climb
+
 
 @pytest.mark.filterwarnings("ignore::mixnorms.RaggedBlockWarning")
 @PROPERTY
@@ -390,6 +456,12 @@ RERUN_SEEDS = [1, 18]
          restarts=None, refine=False)
 @example(case=([2, 2], ExponentTuple.parse("1,2")), seed=0, budget=10_000,
          restarts=None, refine=True)
+@example(case=([2, 2], ExponentTuple.parse("1,2")), seed=LAST_RESTART_CUT_INSIDE_A_GROUP[1],
+         budget=LAST_RESTART_CUT_INSIDE_A_GROUP[0], restarts=None, refine=False)
+@example(case=([2, 2], ExponentTuple.parse("1,2")), seed=FEWER_RESTARTS_THAN_A_GROUP[1],
+         budget=FEWER_RESTARTS_THAN_A_GROUP[0], restarts=3, refine=False)
+@example(case=([2, 2], ExponentTuple.parse("1,2")), seed=START_REPEATED_IN_ITS_GROUP[1],
+         budget=START_REPEATED_IN_ITS_GROUP[0], restarts=None, refine=False)
 def test_optimize_equals_the_memo_free_restart_loop(case, seed, budget, restarts, refine):
     dims, exps = case
     with mock.patch.object(search, "certify", wraps=search.certify) as spy:
@@ -402,17 +474,29 @@ def test_optimize_equals_the_memo_free_restart_loop(case, seed, budget, restarts
     assert cert.ratio == ratio
 
 
+def _events(dims, exps, budget, seed, restarts=None):
+    """What one `optimize_ratio` call does, in order: ("draw", seed) per
+    start drawn and ("climb", starts) per `_climb` call."""
+    events = []
+
+    def draw(dims, seed):
+        events.append(("draw", seed))
+        return _random_signs(dims, seed)
+
+    def climb(stack, moves, left):
+        events.append(("climb", [start.tobytes() for start in stack]))
+        return _climb(stack, moves, left)
+
+    with mock.patch.object(search, "_random_signs", draw), \
+            mock.patch.object(search, "_climb", climb):
+        optimize_ratio(dims, exps, budget=budget, seed=seed, restarts=restarts)
+    return events
+
+
 def _climbed_starts(dims, exps, budget, seed):
     """The start tensor of every climb one `optimize_ratio` call runs."""
-    starts = []
-
-    def climb(coeffs, moves, left):
-        starts.append(coeffs.tobytes())
-        return _climb(coeffs, moves, left)
-
-    with mock.patch.object(search, "_climb", climb):
-        optimize_ratio(dims, exps, budget=budget, seed=seed)
-    return starts
+    return [start for kind, starts in _events(dims, exps, budget, seed) if kind == "climb"
+            for start in starts]
 
 
 @pytest.mark.parametrize("seed", RERUN_SEEDS)
@@ -426,3 +510,54 @@ def test_memo_climbs_each_distinct_start_once():
     # against 756 climbs without the memo
     starts = _climbed_starts((2, 2), ExponentTuple.parse("1,2"), 10_000, 0)
     assert len(starts) <= 17
+
+
+def _first_group(events):
+    """The draws before the first climb, and the starts it climbs."""
+    kinds = [kind for kind, _ in events]
+    return kinds.index("climb"), events[kinds.index("climb")][1]
+
+
+def test_group_edge_examples_reach_their_edges():
+    # The examples above keep testing what they are named for.
+    exps = ExponentTuple.parse("1,2")
+    budget, seed, _ = LAST_RESTART_CUT_INSIDE_A_GROUP
+    events = _events((2, 2), exps, budget, seed)
+    with mock.patch("_oracles._random_signs", wraps=_random_signs) as paid:
+        sequential_optimize((2, 2), exps, budget, seed)
+    assert [kind for kind, _ in events].count("draw") > paid.call_count
+    assert events[-1][0] == "climb" and len(events[-1][1]) == 1  # the cut restart's rerun
+    budget, seed, restarts = FEWER_RESTARTS_THAN_A_GROUP
+    assert _first_group(_events((2, 2), exps, budget, seed))[0] > restarts
+    assert _first_group(_events((2, 2), exps, budget, seed, restarts))[0] == restarts
+    budget, seed, _ = START_REPEATED_IN_ITS_GROUP
+    draws, climbed = _first_group(_events((2, 2), exps, budget, seed))
+    assert draws > len(climbed)
+
+
+def test_optimize_scores_each_group_in_lockstep():
+    # One score call per lockstep step of each group, 10 in all; there
+    # were 106 when every restart climbed alone.
+    with mock.patch.object(_Moves, "score", autospec=True, side_effect=_Moves.score) as score:
+        optimize_ratio((3, 3), ExponentTuple.parse("1,2"), budget=1000, seed=0)
+    assert score.call_count == 10
+
+
+def test_refine_using_up_the_budget_ends_the_group():
+    # A real polish spends about the same on every restart, so the group
+    # sizes leave room for it.  This one charges all the budget left, so
+    # the first refined restart ends the call and the rest of its group
+    # goes unpaid, as in the memo-free loop.
+    def greedy(coeffs, ratio_fn, left):
+        coeffs, ratio, _ = _refine(coeffs, ratio_fn, left)
+        return coeffs, ratio, left
+
+    exps = ExponentTuple.parse("1,2")
+    with mock.patch.object(search, "_refine", greedy), \
+            mock.patch.object(search, "_climb", wraps=_climb) as climb:
+        cert = optimize_ratio((2, 2), exps, budget=2_000, seed=3, refine=True)
+    assert len(climb.call_args_list[0].args[0]) > 1
+    with mock.patch("_oracles._refine", greedy):
+        witness, ratio = sequential_optimize((2, 2), exps, 2_000, 3, None, True)
+    assert cert.ratio == ratio
+    assert cert.ratio == certify(MultilinearForm(witness), exps).ratio
