@@ -136,11 +136,8 @@ class _Moves:
     per entry.
 
     The state (G transposed, R, F) has a leading restart axis, and `score`
-    and `move` act on many restarts per call.  Where there are fewer sign
-    rows than a climb scores entries per step (small dims), the sign rows
-    lead the move arrays, so the sup is a max across rows of whole
-    vectors; otherwise the entries lead.  Built from scratch, the state
-    gives `certify`'s ratio bit for bit on any real tensor.  With
+    and `move` act on many restarts per call.  Built from scratch, the
+    state gives `certify`'s ratio bit for bit on any real tensor.  With
     coefficients in {-1, 0, +1}, G, R and F hold small integers, so every
     update is exact and each score equals `ratio_of` of the moved tensor
     bit for bit.  Ratios are formed from Python floats (`ratio`), whose
@@ -151,9 +148,10 @@ class _Moves:
         self.order = _slot_order(dims)
         self.axes = (0, *(1 + i for i in self.order))  # of a stack, behind its restart axis
         *head, last = self.order
-        # Slot head[j]'s sign rows (rows x d), and each entry's coordinate
-        # there: int8, as a slot whose table fits has d < 128.
-        blocks = [_sign_block(dims[i], 0, 2 ** (dims[i] - 1)) for i in head]
+        # Slot head[j]'s sign rows transposed (d x rows), and each entry's
+        # coordinate there: int8, as a slot whose table fits has d < 128.
+        self.tables = [np.ascontiguousarray(_sign_block(dims[i], 0, 2 ** (dims[i] - 1)).T)
+                       for i in head]
         # int32 indices: N <= W <= 2^22 entries.
         entries = np.arange(math.prod(dims), dtype=np.int32)
         self.column = entries // math.prod(dims[last + 1:]) % dims[last]
@@ -171,28 +169,17 @@ class _Moves:
         self.stacked = ExponentTuple(((1, 1.0),) + exps.blocks)
         self.exponents = exps.exponents
         self.root = 1.0 / self.exponents[0]
-        signs = math.prod(len(b) for b in blocks)
-        width = max(signs, self.fibers.size)
+        width = max(math.prod(t.shape[1] for t in self.tables), self.fibers.size)
         self.block = max(1, _CHUNK // (2 * width))
-        # Leading sign rows read the tables as they are, leading entries
-        # read each one transposed (d x rows).
-        self.lead = signs < min(entries.size, self.block)
-        self.tables = blocks if self.lead else [np.ascontiguousarray(b.T) for b in blocks]
 
     def _signs(self, entries: np.ndarray) -> np.ndarray:
-        """Kronecker sign columns s_i of the given entries, one per column
-        when the sign rows lead, else one per row."""
+        """Kronecker sign columns s_i of the given entries, one per row."""
         n = len(entries)
         if not self.tables:
-            return np.ones((1, n) if self.lead else (n, 1))
-        axis = 1 if self.lead else 0
-        s = self.tables[0].take(self.coords[0][entries], axis=axis)
+            return np.ones((n, 1))
+        s = self.tables[0].take(self.coords[0][entries], axis=0)
         for t, c in zip(self.tables[1:], self.coords[1:]):
-            u = t.take(c[entries], axis=axis)
-            if self.lead:
-                s = (s[:, None, :] * u).reshape(-1, n)
-            else:
-                s = (s[:, :, None] * u[:, None, :]).reshape(n, -1)
+            s = (s[:, :, None] * t.take(c[entries], axis=0)[:, None, :]).reshape(n, -1)
         return s
 
     def _levels(self, inner: np.ndarray) -> np.ndarray:
@@ -205,10 +192,9 @@ class _Moves:
         n = len(stack)
         g = stack.transpose(self.axes).reshape(n, -1)
         for t in self.tables:
-            t = t if self.lead else t.T
             # (sign rows so far, this slot, rest) -> (rows so far, rows of this slot, rest)
-            rest = g.shape[1] // t.shape[1]
-            g = np.matmul(t, g.reshape(len(g), t.shape[1], rest)).reshape(-1, rest)
+            rest = g.shape[1] // len(t)
+            g = np.matmul(t.T, g.reshape(len(g), len(t), rest)).reshape(-1, rest)
         g_t = np.ascontiguousarray(g.reshape(n, -1, g.shape[1]).transpose(0, 2, 1))
         blocked, _ = _blocked_tensor(stack, self.stacked)
         inner = _power(np.abs(blocked), self.exponents[-1]).sum(axis=-1).reshape(n, -1)
@@ -240,17 +226,14 @@ class _Moves:
         old = flats[rows, entries]
         delta, grow = _MOVES.take((old + 1.0).astype(np.intp), axis=2)
         col = g_t[rows, self.column[entries]]
-        rest = row_l1[rows]
-        if self.lead:  # the sup is a max across sign rows of whole vectors
-            col, rest = col.T, rest.T
-            moved = np.einsum("pn,an->pan", self._signs(entries), delta)
-        else:
-            moved = self._signs(entries)[:, None, :] * delta.T[:, :, None]
+        # einsum forms the products without numpy's broadcasting buffers.
+        moved = np.einsum("np,an->nap", self._signs(entries), delta)
         moved += col[:, None, :]
         np.abs(moved, out=moved)
+        rest = row_l1[rows]
         rest -= np.abs(col)
         moved += rest[:, None, :]
-        sup = moved.max(axis=0).T if self.lead else moved.max(axis=2)
+        sup = moved.max(axis=2)
         # The one trial F of each entry: |entry| lowered to 0 or raised from 0.
         on = self.fiber[entries, None] == self.fibers
         trial = inner[rows] + (1.0 - 2.0 * np.abs(old))[:, None] * on
@@ -265,8 +248,7 @@ class _Moves:
         old = flats[rows, entries]
         columns = self.column[entries]
         col = g_t[rows, columns]
-        signs = self._signs(entries)
-        moved = col + (values - old)[:, None] * (signs.T if self.lead else signs)
+        moved = col + (values - old)[:, None] * self._signs(entries)
         row_l1[rows] += np.abs(moved) - np.abs(col)
         g_t[rows, columns] = moved
         fiber = self.fiber[entries]
@@ -444,11 +426,10 @@ def optimize_ratio(
     climbed yet climb in lockstep, each under the budget left at the
     group's start, and the group is then charged in restart order by that
     rule.  A group holds as many restarts as the budget left pays for at
-    the mean cost so far, counting one more restart at twice the least
-    cost of a climb (2N + 1 evaluations for N entries) plus, with
-    `refine`, a full polish.
-    A group of several restarts scores at most a quarter of `_Moves.block`
-    entries per step.
+    the mean cost of the restarts so far; the first group counts twice
+    the least cost of a climb (2N + 1 evaluations for N entries) per
+    restart, or, with `refine`, is one restart.  A group of several
+    restarts scores at most a quarter of `_Moves.block` entries per step.
 
     Dims are admitted iff `sup_norm` is exact on them at the default
     budget (`_exact_work_fits`).  The budget counts evaluations, not work
@@ -481,15 +462,15 @@ def optimize_ratio(
     if math.isinf(top):
         raise ValueError(f"mixed norm under {exps} overflows float64")
 
-    # A climb that its budget does not stop ends with a pass over all 2N
-    # moves (2N + 1 evaluations with its start), and a full polish takes
-    # its start and 2 sweeps of N line searches of 26 evaluations; the
-    # group rule's extra restart costs twice the first plus the second.
-    # A step's temporaries are about four arrays of entries x 2 x width
-    # floats, so a group's steps score at most block / 4 entries: one
-    # `_CHUNK` block in all.
+    # The first group guesses each restart at twice a climb's least cost:
+    # a climb that its budget does not stop ends with a pass over all 2N
+    # moves, 2N + 1 evaluations with its start.  A polish is not guessed,
+    # so with `refine` the first group is one restart.  A step's
+    # temporaries are about four arrays of entries x 2 x width floats, so
+    # a group's steps score at most block / 4 entries: one `_CHUNK` block
+    # in all.
     size = math.prod(dims)
-    prior = 4 * size + 2 + (52 * size + 1 if refine else 0)
+    guess = 1 if refine else budget // (4 * size + 2)
     most = max(1, moves.block // 4 // min(size, moves.block))
     climbs: dict[bytes, tuple[bytes, float, int]] = {}
 
@@ -503,7 +484,7 @@ def optimize_ratio(
     used = 0
     k = 0
     while used < budget and (restarts is None or k < restarts):
-        group = max(1, min(most, (budget - used) * (k + 1) // (used + prior)))
+        group = max(1, min(most, (budget - used) * k // used if k else guess))
         if restarts is not None:
             group = min(group, restarts - k)
         starts = np.stack([_random_signs(dims, seed + k + j) for j in range(group)])
