@@ -414,16 +414,34 @@ def _checked_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
-def _random_signs(dims: tuple[int, ...], seed) -> np.ndarray:
-    """Writable tensor of i.i.d. coefficients in {-1, +1}, the coefficients
-    of `random_sign_form(dims, seed)`; `dims` must already be checked."""
-    rng = np.random.default_rng(seed)
-    return 2.0 * rng.integers(0, 2, size=dims).astype(float) - 1.0
+def _random_signs(dims: tuple[int, ...], seeds: Sequence) -> np.ndarray:
+    """Writable stack of i.i.d. {-1, +1} tensors, one per seed: element j
+    holds the coefficients of `random_sign_form(dims, seeds[j])`; `dims`
+    must already be checked.
+
+    Entry i (C order) of seed s is +1 iff bit 31 of the low (i even) or
+    high (i odd) 32-bit half of raw word i // 2 of `np.random.PCG64(s)` is
+    set.  That is what `Generator.integers(0, 2, size=dims)` of a PCG64
+    generator seeded with s keeps: Lemire's method on each half in turn,
+    with no rejection for a range of 2.  So the draw depends only on
+    PCG64's raw stream, and the bits of the whole stack are read in one
+    pass over its raw words."""
+    n = math.prod(dims)
+    words = (n + 1) // 2
+    raw = np.empty((len(seeds), words), dtype=np.uint64)
+    for j, seed in enumerate(seeds):
+        raw[j] = np.random.PCG64(seed).random_raw(words)
+    # little-endian uint32 halves: low, high, low, high, ...
+    bits = raw.astype("<u8", copy=False).view("<u4")[:, :n] >> 31
+    return (2.0 * bits - 1.0).reshape(len(seeds), *dims)
 
 
 def random_sign_form(dims: Sequence[int], seed) -> MultilinearForm:
-    """Deterministic form with i.i.d. coefficients in {-1, +1}."""
-    coeffs = _random_signs(_checked_dims(dims), seed)
+    """Deterministic form with i.i.d. coefficients in {-1, +1}: entry i
+    (C order) is 2 * default_rng(seed).integers(0, 2, size=dims) - 1,
+    read off bit 31 of the halves of PCG64(seed)'s raw words
+    (`_random_signs`)."""
+    coeffs = _random_signs(_checked_dims(dims), [seed])[0]
     return MultilinearForm(coeffs, label=f"random_sign{coeffs.shape}")
 
 

@@ -436,8 +436,9 @@ def optimize_ratio(
     (ROADMAP item 3): each scores a move against W / max(dims) sign rows,
     W being that exact work.  Peak memory is c * 8W bytes plus a few
     `_CHUNK` blocks, with c about 4 where W is much larger than the number
-    N of entries, and 14.5 at (2,)^16, where N = W (README, Notes on
-    exactness).
+    N of entries, and 11.8 at (2,)^16, where N = W (README, Notes on
+    exactness).  The final `certify` runs after the search's model,
+    starts and memo are released.
     """
     dims = _checked_dims(dims)
     if seed < 0:
@@ -487,7 +488,7 @@ def optimize_ratio(
         group = max(1, min(most, (budget - used) * k // used if k else guess))
         if restarts is not None:
             group = min(group, restarts - k)
-        starts = np.stack([_random_signs(dims, seed + k + j) for j in range(group)])
+        starts = _random_signs(dims, range(seed + k, seed + k + group))
         keys = [bits.tobytes() for bits in np.packbits(starts.reshape(group, -1) > 0, axis=1)]
         fresh = {key: j for j, key in enumerate(keys) if key not in climbs}
         if fresh:
@@ -509,6 +510,9 @@ def optimize_ratio(
                 best_coeffs = coeffs
             k += 1
 
+    # The certificate's sup norm sets the peak memory on many small
+    # slots; the search's model, starts and memo would add to it.
+    del moves, climbs, starts
     found = MultilinearForm(best_coeffs, label=f"optimized{dims}")
     return replace(certify(found, exps), seed=seed, budget=budget)
 

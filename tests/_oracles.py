@@ -7,8 +7,10 @@ library contracts tensors with numpy, the oracles multiply scalars.
 the exceptions: they are the library's former chunked numpy enumeration,
 its former one-restart-at-a-time sup-norm ascent and its former restart
 loop without a climb memo, kept to check the split-sum and lockstep
-kernels and the memoised search.  `reference_ratio` is the public
-certificate path, against which the search's own ratio model is checked.
+kernels and the memoised search; `sign_start` draws that loop's starts
+through `Generator.integers`, against which the raw-word sign draw is
+checked.  `reference_ratio` is the public certificate path, against
+which the search's own ratio model is checked.
 """
 
 import itertools
@@ -17,7 +19,6 @@ import math
 import numpy as np
 
 from mixnorms import MultilinearForm, certify
-from mixnorms.forms import _random_signs
 from mixnorms.search import _Moves, _climb, _refine
 
 
@@ -163,18 +164,24 @@ def reference_ratio(coeffs, exps):
     return certify(MultilinearForm(coeffs), exps).ratio
 
 
+def sign_start(dims, seed):
+    """The {-1, +1} start tensor of seed `seed`, through numpy's own
+    bounded-integer draw."""
+    return 2.0 * np.random.default_rng(seed).integers(0, 2, size=dims) - 1.0
+
+
 def sequential_optimize(dims, exps, budget, seed, restarts=None, refine=False):
     """(witness, ratio) of `optimize_ratio`'s restarts with no climb memo:
-    restart k draws its start from seed + k, climbs it with the budget the
-    earlier restarts left and, with `refine`, polishes it; ties between
-    restarts go to the later seed."""
+    restart k draws its start from seed + k (`sign_start`), climbs it
+    with the budget the earlier restarts left and, with `refine`,
+    polishes it; ties between restarts go to the later seed."""
     dims = tuple(dims)
     moves = _Moves(dims, exps)
     best_key = best_coeffs = None
     used = 0
     k = 0
     while used < budget and (restarts is None or k < restarts):
-        climbed, (ratio,), (spent,) = _climb(_random_signs(dims, seed + k)[None], moves,
+        climbed, (ratio,), (spent,) = _climb(sign_start(dims, seed + k)[None], moves,
                                              budget - used)
         coeffs = climbed[0]
         used += spent

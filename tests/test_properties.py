@@ -9,8 +9,9 @@ against explicit ones.
 `sup_norm` is exact exactly when the exact kernel's work fits its budget.  The
 split-sum Rademacher average is checked against the full enumeration, and
 the lockstep heuristic sup norm against its restarts run one by one.
-Climbs run in lockstep follow the per-candidate climb of each start, and
-return the same result under every budget they did not reach; the
+The search's raw-word sign draw is checked against numpy's bounded-integer
+draw.  Climbs run in lockstep follow the per-candidate climb of each
+start, and return the same result under every budget they did not reach; the
 optimizer's groups of restarts and its climb memo change no result of the
 restart loop.
 Hypothesis runs derandomized with a bounded number of examples, so the
@@ -31,6 +32,7 @@ from mixnorms import (
     mixed_norm,
     optimize_ratio,
     rademacher_average,
+    random_sign_form,
     search,
     sup_norm,
 )
@@ -45,6 +47,7 @@ from _oracles import (
     reference_ratio,
     sequential_ascent_sup,
     sequential_optimize,
+    sign_start,
 )
 
 PROPERTY = settings(max_examples=30, derandomize=True, deadline=None, database=None)
@@ -420,6 +423,20 @@ def test_climb_is_the_same_under_every_budget_it_did_not_reach(data, case, seed,
     assert (got[1][0], got[2][0]) == (ratios[i], used[i])
 
 
+@PROPERTY
+@given(dims=st.lists(st.integers(1, 7), min_size=1, max_size=4),
+       seeds=st.lists(st.integers(0, 2 ** 130), min_size=1, max_size=4))
+@example(dims=[1], seeds=[0])
+@example(dims=[3, 5], seeds=[0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3, 2 ** 130])
+@example(dims=[257, 256], seeds=[2 ** 32 - 1, 2 ** 130])  # over 2^16 entries
+def test_random_signs_equal_the_bounded_integer_draw(dims, seeds):
+    stack = _random_signs(tuple(dims), seeds)
+    assert stack.shape == (len(seeds), *dims) and stack.flags.writeable
+    for start, seed in zip(stack, seeds):
+        assert np.array_equal(start, sign_start(dims, seed))
+        assert np.array_equal(random_sign_form(dims, seed).coeffs, start)
+
+
 @st.composite
 def _small_dims_and_tuple(draw):
     """At most 8 entries, so random sign starts repeat within one call."""
@@ -473,9 +490,9 @@ def _events(dims, exps, budget, seed, restarts=None, refine=False):
     start drawn and ("climb", starts) per `_climb` call."""
     events = []
 
-    def draw(dims, seed):
-        events.append(("draw", seed))
-        return _random_signs(dims, seed)
+    def draw(dims, seeds):
+        events.extend(("draw", seed) for seed in seeds)
+        return _random_signs(dims, seeds)
 
     def climb(stack, moves, left):
         events.append(("climb", [start.tobytes() for start in stack]))
@@ -517,7 +534,7 @@ def test_group_edge_examples_reach_their_edges():
     exps = ExponentTuple.parse("1,2")
     budget, seed, _ = LAST_RESTART_CUT_INSIDE_A_GROUP
     events = _events((2, 2), exps, budget, seed)
-    with mock.patch("_oracles._random_signs", wraps=_random_signs) as paid:
+    with mock.patch("_oracles.sign_start", wraps=sign_start) as paid:  # one call per seed
         sequential_optimize((2, 2), exps, budget, seed)
     assert [kind for kind, _ in events].count("draw") > paid.call_count
     assert events[-1][0] == "climb" and len(events[-1][1]) == 1  # the cut restart's rerun
@@ -581,7 +598,7 @@ def test_groups_draw_few_starts_past_the_last_paid_restart(refine):
             exps = ExponentTuple.parse(e)
             events = _events(dims, exps, 1000, seed, refine=refine)
             draws += [kind for kind, _ in events].count("draw")
-            with mock.patch("_oracles._random_signs", wraps=_random_signs) as drawn:
+            with mock.patch("_oracles.sign_start", wraps=sign_start) as drawn:
                 sequential_optimize(dims, exps, 1000, seed, None, refine)
             paid += drawn.call_count
     assert paid <= draws <= 1.1 * paid
