@@ -21,9 +21,11 @@ every vertex is covered, and ``evaluations`` counts the full grid of
 to an alternating coordinate-ascent heuristic whose result is still a
 valid lower bound: 32 restarts from fixed random vertices, each step
 setting one slot's signs to those of its gradient when that changes a
-sign and raises the value.  The restarts advance in lockstep, one batched
-contraction per slot step, in groups whose temporaries stay within
-max(form size, 2^15) elements.
+sign and raises the value; restart k's start is one `_random_signs`
+stream of seed (7, k), split across the slots.  The restarts advance in
+lockstep, one batched contraction per slot step, in groups whose
+temporaries stay within max(form size, 2^15) elements, each group on the
+budget left at its start; a restart that spent more than is left reruns.
 
 All user-facing I/O (the JSON form files) uses 1-based indices; the Python
 API is 0-based like the underlying arrays.  A form file may declare at
@@ -177,14 +179,18 @@ def _max_l1(arr: np.ndarray, dims: tuple[int, ...], j: int) -> float:
     return best
 
 
+def _pattern_exponent(dims: Sequence[int]) -> int:
+    """Log2 of `_exact_sup`'s sign patterns: sum(dims) - max(dims) - m + 1."""
+    return sum(dims) - max(dims) - len(dims) + 1
+
+
 def _exact_work_fits(dims: Sequence[int], budget: int) -> bool:
     """Whether `_exact_sup`'s work on `dims` fits `budget`: its
-    2^(sum(dims) - max(dims) - m + 1) sign patterns times the max(dims)
-    terms of each closed-form l1 norm; a degree-1 form's work is its size.
-    Decided from the exponent first, so no huge power is built."""
-    top = max(dims)
-    exponent = sum(dims) - top - len(dims) + 1
-    return exponent < int(budget).bit_length() and top << exponent <= budget
+    2^`_pattern_exponent` sign patterns times the max(dims) terms of each
+    closed-form l1 norm; a degree-1 form's work is its size.  Decided from
+    the exponent first, so no huge power is built."""
+    exponent = _pattern_exponent(dims)
+    return exponent < int(budget).bit_length() and max(dims) << exponent <= budget
 
 
 def _slot_order(dims: Sequence[int]) -> list[int]:
@@ -212,15 +218,14 @@ def _exact_sup(coeffs: np.ndarray) -> float:
 @lru_cache(maxsize=16)
 def _ascent_starts(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Start signs of every restart, one read-only int8 table of shape
-    (ASCENT_RESTARTS, d) per slot.  Restart k draws its slots in order from
-    the generator seeded with (_ASCENT_SEED, k), so the starts depend on
-    `dims` alone.  At one byte per sign the tables take ASCENT_RESTARTS
-    bytes per slot coordinate."""
-    tables = tuple(np.empty((ASCENT_RESTARTS, d), dtype=np.int8) for d in dims)
+    (ASCENT_RESTARTS, d) per slot: row k negates the `_random_signs` draw
+    of sum(dims) entries from seed (_ASCENT_SEED, k), drawn one restart at
+    a time and split at the cumulative dims, not at word boundaries."""
+    draws = np.empty((ASCENT_RESTARTS, sum(dims)), dtype=np.int8)
     for k in range(ASCENT_RESTARTS):
-        rng = np.random.default_rng((_ASCENT_SEED, k))
-        for table in tables:
-            table[k] = 1 - 2 * rng.integers(0, 2, size=table.shape[1])
+        draws[k] = _random_signs((sum(dims),), [(_ASCENT_SEED, k)])[0]
+    np.negative(draws, out=draws)
+    tables = tuple(np.split(draws, np.cumsum(dims)[:-1], axis=1))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -268,7 +273,7 @@ class _Gradients:
 
 
 def _lockstep_ascent(grads: _Gradients, starts: list[np.ndarray],
-                     caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     cap: int) -> tuple[np.ndarray, np.ndarray]:
     """Alternating sign ascent from every row of `starts` at once.
 
     Per slot, the optimal signs given the others are the signs of the
@@ -276,71 +281,64 @@ def _lockstep_ascent(grads: _Gradients, starts: list[np.ndarray],
     changes a sign and raises the value (one that changes no sign only
     recomputes the same vertex, up to rounding), and a row stops after a sweep
     over all slots with no accepted step, or before a step that would take
-    its evaluations past its cap.  Returns (evaluations, value) of every
-    row after every step, shape (steps + 1, rows), each row's last entry
-    repeated once it has stopped.
+    its evaluations past `cap`.  Returns each row's final evaluations and
+    value.  Under a cap c a row takes the same steps as under any larger
+    cap until a step would pass c, so a row that spends s evaluations
+    returns the same value and count under every cap from s up.
     """
     dims = grads.dims
     signs = [s.astype(float) for s in starts]
-    rows = np.arange(len(caps))
+    rows = np.arange(len(signs[0]))  # the running rows
     grad = grads(signs, 0)
     value = np.abs(np.einsum("ad,ad->a", signs[0], grad))
-    evals = np.ones(len(caps), dtype=np.int64)
-    all_evals, all_values = evals.copy(), value.copy()
-    hist_evals, hist_values = [all_evals.copy()], [all_values.copy()]
+    evals = np.ones(rows.size, dtype=np.int64)
     while rows.size:
         improved = np.zeros(rows.size, dtype=bool)
         for slot, d in enumerate(dims):
-            fits = evals + d <= caps[rows]
+            fits = evals[rows] + d <= cap
             if not fits.all():
                 signs = [s[fits] for s in signs]
-                rows, value, evals, improved = rows[fits], value[fits], evals[fits], improved[fits]
-                grad = None
+                rows, improved, grad = rows[fits], improved[fits], None
                 if not rows.size:
                     break
             if grad is None:
                 grad = grads(signs, slot)
             flip = grad * signs[slot] < 0
             new_value = np.abs(grad).sum(axis=1)  # the value at the gradient's signs
-            accept = (new_value > value) & flip.any(axis=1)
+            accept = (new_value > value[rows]) & flip.any(axis=1)
             signs[slot] = np.where(flip & accept[:, None], -signs[slot], signs[slot])
-            value = np.where(accept, new_value, value)
-            evals += d
+            value[rows[accept]] = new_value[accept]
+            evals[rows] += d
             improved |= accept
-            all_evals[rows], all_values[rows] = evals, value
-            hist_evals.append(all_evals.copy())
-            hist_values.append(all_values.copy())
             grad = None
         signs = [s[improved] for s in signs]
-        rows, value, evals = rows[improved], value[improved], evals[improved]
-    return np.array(hist_evals), np.array(hist_values)
+        rows = rows[improved]
+    return evals, value
 
 
 def _ascent_sup(coeffs: np.ndarray, budget: int) -> tuple[float, int]:
     """Best value and evaluations of ASCENT_RESTARTS ascents, restart k
     getting whatever budget restarts 0..k-1 left, as if run one after
-    another.  The restarts run in lockstep, in groups small enough that no
-    temporary exceeds max(coeffs.size, _CHUNK) elements; each group runs
-    to the end, and the sequential accounting is replayed on its record."""
+    another.  Each group, small enough that no temporary exceeds
+    max(coeffs.size, _CHUNK) elements, runs in lockstep on the budget left
+    at its start.  Charged in restart order, a restart that spent more than
+    the rest reruns alone on the rest, exact by `_lockstep_ascent`'s caps."""
     grads = _Gradients(coeffs)
     starts = _ascent_starts(coeffs.shape)
     group = max(1, max(coeffs.size, _CHUNK) // grads.row_elements())
-    best = 0.0
-    used = 0
+    best, used = 0.0, 0
     for lo in range(0, ASCENT_RESTARTS, group):
         if used >= budget:
             break
-        hi = min(ASCENT_RESTARTS, lo + group)
-        # Restart lo + i gets at most budget - used - i: each earlier one
-        # spends at least its start evaluation.
-        caps = budget - used - np.arange(hi - lo)
-        evals, values = _lockstep_ascent(grads, [s[lo:hi] for s in starts], caps)
-        for i in range(hi - lo):
+        evals, values = _lockstep_ascent(grads, [s[lo:lo + group] for s in starts], budget - used)
+        for k, spent, value in zip(range(lo, ASCENT_RESTARTS), evals.tolist(), values.tolist()):
             if used >= budget:
                 break
-            t = int(np.searchsorted(evals[:, i], budget - used, side="right")) - 1
-            used += int(evals[t, i])
-            best = max(best, float(values[t, i]))
+            if spent > budget - used:
+                (spent,), (value,) = _lockstep_ascent(grads, [s[[k]] for s in starts],
+                                                      budget - used)
+            used += int(spent)
+            best = max(best, float(value))
     return best, used
 
 
@@ -356,8 +354,8 @@ def sup_norm(form: MultilinearForm, budget: int = DEFAULT_SUP_BUDGET) -> SupNorm
     deterministic lower bound flagged exact=False, with at most `budget`
     evaluations.  They share the budget as if run one after another
     (restart k gets what the earlier ones left) but advance in lockstep,
-    one batched contraction per slot step; `evaluations` counts d per step
-    on a slot of size d, plus one per start vertex.
+    one batched contraction per slot step (`_ascent_sup`); `evaluations`
+    counts d per step on a slot of size d, plus one per start vertex.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
@@ -425,22 +423,23 @@ def _random_signs(dims: tuple[int, ...], seeds: Sequence) -> np.ndarray:
     generator seeded with s keeps: Lemire's method on each half in turn,
     with no rejection for a range of 2.  So the draw depends only on
     PCG64's raw stream, and the bits of the whole stack are read in one
-    pass over its raw words."""
+    pass over its raw words.  A generator keeps a word's spare half between
+    draws, so `_ascent_starts` splits one draw across its slots."""
     n = math.prod(dims)
     words = (n + 1) // 2
     raw = np.empty((len(seeds), words), dtype=np.uint64)
     for j, seed in enumerate(seeds):
         raw[j] = np.random.PCG64(seed).random_raw(words)
     # little-endian uint32 halves: low, high, low, high, ...
-    bits = raw.astype("<u8", copy=False).view("<u4")[:, :n] >> 31
-    return (2.0 * bits - 1.0).reshape(len(seeds), *dims)
+    set31 = raw.astype("<u8", copy=False).view("<u4")[:, :n] >= 1 << 31
+    return np.where(set31, 1.0, -1.0).reshape(len(seeds), *dims)
 
 
 def random_sign_form(dims: Sequence[int], seed) -> MultilinearForm:
     """Deterministic form with i.i.d. coefficients in {-1, +1}: entry i
-    (C order) is 2 * default_rng(seed).integers(0, 2, size=dims) - 1,
-    read off bit 31 of the halves of PCG64(seed)'s raw words
-    (`_random_signs`)."""
+    (C order) is 2 * integers(0, 2, size=dims) - 1 of numpy's default
+    generator seeded with `seed`, read off bit 31 of the halves of
+    PCG64(seed)'s raw words (`_random_signs`)."""
     coeffs = _random_signs(_checked_dims(dims), [seed])[0]
     return MultilinearForm(coeffs, label=f"random_sign{coeffs.shape}")
 

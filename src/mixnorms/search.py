@@ -38,6 +38,7 @@ from .forms import (
     _CHUNK,
     _checked_dims,
     _exact_work_fits,
+    _pattern_exponent,
     _random_signs,
     _sign_block,
     _slot_order,
@@ -452,7 +453,7 @@ def optimize_ratio(
     if restarts is not None and restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if not _exact_work_fits(dims, DEFAULT_SUP_BUDGET):
-        raise ValueError(f"dims {dims} need 2^{sum(dims) - max(dims) - len(dims) + 1} * "
+        raise ValueError(f"dims {dims} need 2^{_pattern_exponent(dims)} * "
                          f"{max(dims)} terms of exact sup-norm work; {DEFAULT_SUP_BUDGET} "
                          "are affordable")
     moves = _Moves(dims, exps)

@@ -7,10 +7,14 @@ library contracts tensors with numpy, the oracles multiply scalars.
 the exceptions: they are the library's former chunked numpy enumeration,
 its former one-restart-at-a-time sup-norm ascent and its former restart
 loop without a climb memo, kept to check the split-sum and lockstep
-kernels and the memoised search; `sign_start` draws that loop's starts
-through `Generator.integers`, against which the raw-word sign draw is
-checked.  `reference_ratio` is the public certificate path, against
-which the search's own ratio model is checked.
+kernels and the memoised search.  Both lockstep searches run a group on
+the budget left at its start and rerun alone a restart that spent more
+than the earlier ones left; the oracles run every restart on what is
+left.  `sequential_ascent_sup` draws its starts slot by slot through
+`Generator.integers` and `sign_start` draws the search's starts the same
+way, against which the raw-word sign draw is checked.  `reference_ratio`
+is the public certificate path, against which the search's own ratio
+model is checked.
 """
 
 import itertools

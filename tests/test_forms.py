@@ -184,6 +184,34 @@ def test_ascent_start_tables_are_read_only_and_bounded():
     assert _ascent_starts.cache_info().maxsize is not None
 
 
+@pytest.mark.parametrize("dims", [(5, 5, 5, 5), (3, 1, 4), (7, 1, 7, 1), (1,)])
+def test_ascent_starts_draw_the_slots_from_one_generator(dims):
+    # Restart k draws its slots one after another from one generator,
+    # which keeps a word's spare half between draws: odd slots do not
+    # start at a word boundary.
+    tables = _ascent_starts(dims)
+    for k in range(ASCENT_RESTARTS):
+        rng = np.random.default_rng((7, k))
+        for table, d in zip(tables, dims):
+            assert np.array_equal(table[k], 1 - 2 * rng.integers(0, 2, size=d))
+
+
+@pytest.mark.parametrize("dims", [(2 ** 16,), (300, 200, 7)])
+def test_ascent_start_tables_draw_one_restart_at_a_time(dims):
+    # The tables take ASCENT_RESTARTS bytes per coordinate; drawing every
+    # restart at once in float64 would take eight times that.
+    _ascent_starts((1,))  # the generator's first use allocates once
+    _ascent_starts.cache_clear()
+    tracemalloc.start()
+    try:
+        _ascent_starts(dims)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _ascent_starts.cache_clear()
+    assert peak < 2.5 * ASCENT_RESTARTS * sum(dims)
+
+
 def test_sup_norm_heuristic_interleaved_dims_agree():
     _ascent_starts.cache_clear()
     a, b = random_sign_form((6, 5, 3), 0), random_sign_form((9, 8), 1)

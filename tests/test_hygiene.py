@@ -1,8 +1,9 @@
 """Source hygiene without a linter: every import of a module is used,
 every module-level private name is referenced somewhere in the package,
 every public module-level function or class is reached from outside its
-module, and every private name that a docstring, comment or the README
-quotes in backticks is still defined.
+module, every private name that a docstring, comment or the README
+quotes in backticks is still defined, and numpy's random module appears
+only in the one sign-draw kernel, `forms._random_signs`.
 
 The checks read the syntax trees of ``src/mixnorms/*.py``.  Imports in
 ``__init__.py`` are its public interface, and an import line marked
@@ -120,6 +121,20 @@ def undefined_quoted_privates(texts: dict[str, str], sources: dict[str, str]) ->
                    if quoted not in defined})
 
 
+def random_homes(sources: dict[str, str]) -> list[str]:
+    """The module-level definitions of `sources` in whose text numpy's
+    random module appears, or the lines where it appears outside any."""
+    homes = set()
+    for module, text in sources.items():
+        spans = [(node.lineno, node.end_lineno, node.name) for node in ast.parse(text).body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for match in re.finditer(r"\b(?:np|numpy)\.random\b", text):
+            line = text.count("\n", 0, match.start()) + 1
+            home = next((name for lo, hi, name in spans if lo <= line <= hi), f"line {line}")
+            homes.add(f"{module}: {home}")
+    return sorted(homes)
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
@@ -145,6 +160,12 @@ def test_quoted_private_names_are_defined():
     assert undefined_quoted_privates(texts, sources) == []
 
 
+def test_one_random_draw():
+    # Every random sign in the package comes from one kernel.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert random_homes(sources) == ["forms.py: _random_signs"]
+
+
 def test_checks_catch_what_they_are_for():
     leftover = "from .forms import _sign_rows, _sign_vertices\n\nTABLE = _sign_vertices(3)\n"
     assert unused_imports(leftover) == ["_sign_rows (line 1)"]
@@ -168,3 +189,6 @@ def test_checks_catch_what_they_are_for():
     texts = {"b.py": '"""Scores as `_Model.ratio_of` and `_rows`, not `_fast_ratio_fn`."""',
              "README.md": "Polished by ``_gone`` through `_Model`."}
     assert undefined_quoted_privates(texts, sources) == ["README.md: _gone", "b.py: _fast_ratio_fn"]
+    sources = {"a.py": "import numpy as np\n\ndef draw():\n    return np.random.PCG64(0)\n\n"
+                       "SEED = numpy.random.SeedSequence()\n"}
+    assert random_homes(sources) == ["a.py: draw", "a.py: line 6"]

@@ -29,6 +29,7 @@ from mixnorms import (
     ExponentTuple,
     MultilinearForm,
     certify,
+    forms,
     mixed_norm,
     optimize_ratio,
     rademacher_average,
@@ -36,7 +37,7 @@ from mixnorms import (
     search,
     sup_norm,
 )
-from mixnorms.forms import _ascent_sup, _random_signs
+from mixnorms.forms import ASCENT_RESTARTS, _ascent_sup, _random_signs
 from mixnorms.mixed_norms import _nested_norm, _outer_sums
 from mixnorms.search import _Moves, _climb, _refine
 
@@ -152,6 +153,26 @@ def test_lockstep_ascent_matches_sequential_restarts(dims, seed, integer, budget
         assert got == (value, evaluations)
     else:
         assert math.isclose(got[0], value, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("coeffs, budget, reruns", [
+    (random_sign_form((2, 64), 0).coeffs, 300, 12),
+    (np.random.default_rng(7).integers(-2, 3, size=(7, 7)).astype(float), 500, 5),
+], ids=["sign (2, 64)", "int (7, 7) seed=7"])
+def test_ascent_reruns_alone_the_restarts_the_budget_cuts(coeffs, budget, reruns):
+    # All 32 restarts run as one group on the whole budget; each that then
+    # spent more than the earlier ones left reruns as a group of one.
+    groups = []
+    lockstep = forms._lockstep_ascent
+
+    def spy(grads, starts, cap):
+        groups.append(len(starts[0]))
+        return lockstep(grads, starts, cap)
+
+    with mock.patch.object(forms, "_lockstep_ascent", spy):
+        got = _ascent_sup(coeffs, budget)
+    assert groups == [ASCENT_RESTARTS] + [1] * reruns
+    assert got == sequential_ascent_sup(coeffs, budget)
 
 
 def _exponent_tuple(draw, degree):
