@@ -61,8 +61,13 @@ def _parse_ints(text: str) -> list[int]:
 
 def _norm(args) -> dict:
     form = _resolve_form(args.form)
-    return {"label": form.label, "dims": list(form.dims),
-            **asdict(forms.sup_norm(form, budget=args.budget))}
+    payload = {"label": form.label, "dims": list(form.dims),
+               **asdict(forms.sup_norm(form, budget=args.budget))}
+    try:
+        str(payload["evaluations"])
+    except ValueError:  # an exact 2^sum(dims) past Python's int-to-str digit limit
+        payload["evaluations"] = f"2^{sum(form.dims)}"
+    return payload
 
 
 def _mixed(args) -> dict:
@@ -147,8 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--form", required=True)
     p.add_argument("--budget", type=int, default=forms.DEFAULT_SUP_BUDGET,
                    help="exact if the exact kernel's work, 2^(sum(dims) - max(dims) - m + 1)"
-                   " * max(dims), fits (evaluations then reports the full 2^sum(dims) grid);"
-                   " else at most this many ascent evaluations")
+                   " * max(dims), fits this or the form's size (evaluations then reports the"
+                   " full 2^sum(dims) grid); else at most this many ascent evaluations")
 
     p = add("mixed", "nested mixed norm of a form", _mixed)
     p.add_argument("--form", required=True)

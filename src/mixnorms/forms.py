@@ -14,16 +14,17 @@ fixed, since flipping one argument only flips the sign of the value.  A
 degree-m form needs 2^(sum(dims) - max(dims) - m + 1) sign combinations,
 contracted in blocks of bounded size, and each one's closed-form l1 norm
 adds up max(dims) absolute values.  The exact value is used whenever that
-work, patterns times max(dims), fits the evaluation budget.  Together the
-patterns and the closed form cover every vertex, so ``exact`` means that
-every vertex is covered, and ``evaluations`` counts the full grid of
-2^sum(dims) vertices, which can exceed the budget.  Larger forms fall back
-to an alternating coordinate-ascent heuristic whose result is still a
-valid lower bound: 32 restarts from fixed random vertices, each step
-setting one slot's signs to those of its gradient when that changes a
-sign and raises the value; restart k's start is one `_random_signs`
-stream of seed (7, k), split across the slots.  The restarts advance in
-lockstep, one batched contraction per slot step, in groups whose
+work fits the evaluation budget or the form's size, which the work equals
+when no enumerated slot has more than two entries.  Together the patterns
+and the closed form cover every vertex, so ``exact`` means that every
+vertex is covered, and ``evaluations`` counts the full grid of 2^sum(dims)
+vertices, which can exceed the budget.  The rest, of degree >= 2 with an
+enumerated slot of size >= 3, fall back to an alternating coordinate-ascent
+heuristic with a valid lower bound: 32 restarts from fixed random vertices,
+each step setting one slot's signs to those of its gradient when that
+changes a sign and raises the value; restart k's start is one
+`_random_signs` stream of seed (7, k), split across the slots.  Restarts
+advance in lockstep, one batched contraction per slot step, in groups whose
 temporaries stay within max(form size, 2^15) elements, each group on the
 budget left at its start; a restart that spent more than is left reruns.
 
@@ -45,8 +46,8 @@ import numpy as np
 
 #: Default evaluation budget of `sup_norm`.  The exact kernel is used
 #: whenever its work, 2^(sum(dims) - max(dims) - m + 1) sign patterns times
-#: max(dims) terms, fits it; the heuristic ascent spends at most this many
-#: evaluations.
+#: max(dims) terms, fits it or the form's size; the heuristic ascent spends
+#: at most this many evaluations.
 DEFAULT_SUP_BUDGET = 2 ** 22
 
 #: Restarts used by the heuristic ascent when the exact kernel is unaffordable.
@@ -107,8 +108,8 @@ class SupNormResult:
     """Sup-norm value, whether it covers every sign vertex, and how many
     form evaluations it stands for.  An exact value reports the full grid
     of 2^sum(dims) vertices, which can exceed the budget that admitted it;
-    a non-exact value counts the ascent's evaluations, at most the budget,
-    and is always a valid lower bound of the true sup norm."""
+    a non-exact value (degree >= 2, an enumerated slot of size >= 3) counts
+    the ascent's evaluations, at most the budget, and is a lower bound."""
 
     value: float
     exact: bool
@@ -232,32 +233,27 @@ def _ascent_starts(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 
 
 class _Gradients:
-    """Slot gradients of a batch of sign vertices: for every row, the
-    coefficient tensor contracted with the row's signs in every slot but
-    one.  The largest other slot is contracted first, by one matmul with a
-    cached matrix layout of the coefficients; the rest one slot at a time,
-    last first, batched over the rows."""
+    """Slot gradients of a batch of sign vertices of a form of degree >= 2:
+    for every row, the coefficient tensor contracted with the row's signs
+    in every slot but one.  The largest other slot is contracted first, by
+    one matmul with a cached matrix layout of the coefficients; the rest one
+    slot at a time, last first, batched over the rows."""
 
     def __init__(self, coeffs: np.ndarray):
-        self.coeffs = coeffs
         self.dims = dims = coeffs.shape
         # For slot s, the largest other slot: the largest, or for the
         # largest itself the runner-up.
         by_size = sorted(range(len(dims)), key=lambda i: -dims[i])
-        self.first = [by_size[by_size[0] == s] for s in range(len(dims))] if len(dims) > 1 else []
+        self.first = [by_size[by_size[0] == s] for s in range(len(dims))]
         self.mats = {
             f: np.moveaxis(coeffs, f, 0).reshape(dims[f], -1) for f in set(self.first)
         }
-
-    def row_elements(self) -> int:
-        """Elements per row of the largest temporary, the first product."""
-        return max((m.shape[1] for m in self.mats.values()), default=self.dims[0])
+        # Elements per row of the largest temporary, the first product.
+        self.row_elements = max(m.shape[1] for m in self.mats.values())
 
     def __call__(self, signs: list[np.ndarray], slot: int) -> np.ndarray:
         dims = self.dims
         n = signs[0].shape[0]
-        if len(dims) == 1:
-            return np.broadcast_to(self.coeffs, (n, dims[0]))
         f = self.first[slot]
         arr = signs[f] @ self.mats[f]
         axes = [j for j in range(len(dims)) if j != f]
@@ -317,15 +313,15 @@ def _lockstep_ascent(grads: _Gradients, starts: list[np.ndarray],
 
 
 def _ascent_sup(coeffs: np.ndarray, budget: int) -> tuple[float, int]:
-    """Best value and evaluations of ASCENT_RESTARTS ascents, restart k
-    getting whatever budget restarts 0..k-1 left, as if run one after
-    another.  Each group, small enough that no temporary exceeds
-    max(coeffs.size, _CHUNK) elements, runs in lockstep on the budget left
-    at its start.  Charged in restart order, a restart that spent more than
-    the rest reruns alone on the rest, exact by `_lockstep_ascent`'s caps."""
+    """Best value and evaluations of ASCENT_RESTARTS ascents on a form of
+    degree >= 2, restart k getting whatever budget restarts 0..k-1 left, as
+    if run one after another.  Each group, small enough that no temporary
+    exceeds max(coeffs.size, _CHUNK) elements, runs in lockstep on the
+    budget left at its start.  Charged in restart order, a restart that
+    spent more than the rest reruns alone on it, exact by the ascent's caps."""
     grads = _Gradients(coeffs)
     starts = _ascent_starts(coeffs.shape)
-    group = max(1, max(coeffs.size, _CHUNK) // grads.row_elements())
+    group = max(1, max(coeffs.size, _CHUNK) // grads.row_elements)
     best, used = 0.0, 0
     for lo in range(0, ASCENT_RESTARTS, group):
         if used >= budget:
@@ -345,21 +341,22 @@ def _ascent_sup(coeffs: np.ndarray, budget: int) -> tuple[float, int]:
 def sup_norm(form: MultilinearForm, budget: int = DEFAULT_SUP_BUDGET) -> SupNormResult:
     """Sup norm over the unit balls of c0.
 
-    If the exact kernel's work fits in `budget` (its
-    2^(sum(dims) - max(dims) - m + 1) sign patterns times the max(dims)
-    terms of each closed-form l1 norm), `_exact_sup` gives the exact
-    maximum, and `evaluations` reports the full grid of 2^sum(dims)
-    vertices, which can exceed the budget.  Otherwise ASCENT_RESTARTS
-    alternating sign ascents from fixed random vertices return a
-    deterministic lower bound flagged exact=False, with at most `budget`
-    evaluations.  They share the budget as if run one after another
-    (restart k gets what the earlier ones left) but advance in lockstep,
-    one batched contraction per slot step (`_ascent_sup`); `evaluations`
-    counts d per step on a slot of size d, plus one per start vertex.
+    If the exact kernel's work (its 2^(sum(dims) - max(dims) - m + 1) sign
+    patterns times the max(dims) terms of each closed-form l1 norm) fits
+    `budget` or the form's size, which it equals when no enumerated slot
+    has more than two entries, `_exact_sup` gives the exact maximum, and
+    `evaluations` reports the full grid of 2^sum(dims) vertices, which can
+    exceed the budget.  Otherwise ASCENT_RESTARTS alternating sign ascents
+    from fixed random vertices return a deterministic lower bound flagged
+    exact=False, with at most `budget` evaluations.  They share the budget
+    as if run one after another (restart k gets what the earlier ones left)
+    but advance in lockstep, one batched contraction per slot step
+    (`_ascent_sup`); `evaluations` counts d per step on a slot of size d,
+    plus one per start vertex.
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    if _exact_work_fits(form.dims, budget):
+    if _exact_work_fits(form.dims, max(budget, form.coeffs.size)):
         return SupNormResult(_exact_sup(form.coeffs), True, 2 ** sum(form.dims))
     value, used = _ascent_sup(form.coeffs, budget)
     return SupNormResult(value, False, used)

@@ -280,6 +280,22 @@ def test_sup_norm_exact_on_sixteen_slots_of_size_two():
     assert _walsh_sup(littlewood2().coeffs) == brute_sup(littlewood2().coeffs)[0]
 
 
+def test_sup_norm_exact_on_a_degree_one_form_past_the_budget():
+    # A degree-1 form's exact work is its size, which any heuristic reading
+    # every entry already spends; the l1 norm takes one temporary that size.
+    form = random_sign_form((2 ** 20 + 2,), 0)
+    tracemalloc.start()
+    try:
+        res = sup_norm(form, 2 ** 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.exact
+    assert res.value == 1_048_578.0
+    assert res.evaluations == 2 ** (2 ** 20 + 2)
+    assert peak < 2 * form.coeffs.nbytes
+
+
 def test_sup_norm_invalid_budget():
     with pytest.raises(ValueError, match="budget"):
         sup_norm(littlewood2(), budget=0)

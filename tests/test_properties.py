@@ -6,9 +6,11 @@ on random dims with the largest slot (and ties) in every position; the
 climb's batched move scores, over stacks of tensors, are checked against
 the certificate's ratio of each moved tensor, and skipped unit powers
 against explicit ones.
-`sup_norm` is exact exactly when the exact kernel's work fits its budget.  The
-split-sum Rademacher average is checked against the full enumeration, and
-the lockstep heuristic sup norm against its restarts run one by one.
+`sup_norm` is exact exactly when the exact kernel's work fits its budget
+or the form's size, so a form whose work is its size is exact at every
+budget.  The split-sum Rademacher average is checked against the full
+enumeration, and the lockstep heuristic sup norm against its restarts run
+one by one.
 The search's raw-word sign draw is checked against numpy's bounded-integer
 draw.  Climbs run in lockstep follow the per-candidate climb of each
 start, and return the same result under every budget they did not reach; the
@@ -109,7 +111,7 @@ def test_sup_norm_is_exact_iff_the_exact_work_fits(dims, seed, offset):
     coeffs = _coeffs(dims, seed, integer=True)
     budget = max(1, _exact_work(dims) + offset)
     result = sup_norm(MultilinearForm(coeffs), budget=budget)
-    assert result.exact is (_exact_work(dims) <= budget)
+    assert result.exact is (_exact_work(dims) <= max(budget, math.prod(dims)))
     if 2 ** sum(dims) <= budget:
         assert result.exact  # exact under the full-grid rule stays exact
     if result.exact:
@@ -117,15 +119,16 @@ def test_sup_norm_is_exact_iff_the_exact_work_fits(dims, seed, offset):
 
 
 @PROPERTY
-@given(dims=DIMS.filter(lambda d: sum(d) <= 10 and max(d) > 1), seed=SEEDS,
-       integer=st.booleans(), share=st.floats(0.0, 1.0))
-@example(dims=[2], seed=0, integer=True, share=1.0)
-@example(dims=[2, 1, 1, 1], seed=1, integer=False, share=1.0)
+@given(dims=DIMS.filter(lambda d: sum(d) <= 10 and len(d) > 1 and sorted(d)[-2] >= 3),
+       seed=SEEDS, integer=st.booleans(), share=st.floats(0.0, 1.0))
+@example(dims=[3, 3], seed=0, integer=True, share=1.0)
+@example(dims=[3, 1, 1, 3], seed=1, integer=False, share=1.0)
 @example(dims=[4, 1, 3], seed=2, integer=True, share=1.0)
-@example(dims=[1, 4], seed=3, integer=False, share=0.5)
+@example(dims=[3, 4], seed=3, integer=False, share=0.5)
 def test_heuristic_sup_matches_sequential_restarts(dims, seed, integer, share):
     # Every budget below the exact kernel's work, from 1 (share 0) to work - 1
-    # (share 1); all-ones dims have work 1 and never reach the ascent here.
+    # (share 1).  An enumerated slot (any but the largest) of size >= 3 puts
+    # the work above the form's size, so every one of them reaches the ascent.
     coeffs = _coeffs(dims, seed, integer)
     budget = 1 + int(share * (_exact_work(dims) - 2))
     result = sup_norm(MultilinearForm(coeffs), budget=budget)
@@ -140,7 +143,7 @@ def test_heuristic_sup_matches_sequential_restarts(dims, seed, integer, share):
 
 
 @PROPERTY
-@given(dims=st.lists(st.integers(1, 7), min_size=1, max_size=4), seed=SEEDS,
+@given(dims=st.lists(st.integers(1, 7), min_size=2, max_size=4), seed=SEEDS,
        integer=st.booleans(), budget=st.integers(1, 10 ** 6))
 @example(dims=[7, 1, 7, 1], seed=4, integer=True, budget=10 ** 6)
 @example(dims=[7, 7, 7, 7], seed=5, integer=False, budget=10 ** 6)
@@ -153,6 +156,32 @@ def test_lockstep_ascent_matches_sequential_restarts(dims, seed, integer, budget
         assert got == (value, evaluations)
     else:
         assert math.isclose(got[0], value, rel_tol=1e-12)
+
+
+@st.composite
+def _unenumerated_dims(draw):
+    """Dims with no enumerated slot above 2 (degree 1 included) and at most
+    2^12 vertices: slots of size 1-2 and one of any size, anywhere."""
+    dims = draw(st.lists(st.integers(1, 2), max_size=5))
+    dims.insert(draw(st.integers(0, len(dims))), draw(st.integers(1, 12 - sum(dims))))
+    return dims
+
+
+@PROPERTY
+@given(dims=_unenumerated_dims(), seed=SEEDS)
+@example(dims=[12], seed=0)
+@example(dims=[2, 2, 2, 2, 2, 2], seed=1)
+@example(dims=[2, 1, 9], seed=2)
+def test_sup_norm_is_exact_when_the_work_is_the_size(dims, seed):
+    # The exact kernel's work equals the form's size here, and no budget
+    # sends such a form to the ascent.
+    coeffs = _coeffs(dims, seed, integer=True)
+    assert _exact_work(dims) == coeffs.size
+    expected = brute_sup(coeffs)
+    for budget in range(1, coeffs.size + 1):
+        result = sup_norm(MultilinearForm(coeffs), budget=budget)
+        assert result.exact is True
+        assert (result.value, result.evaluations) == expected
 
 
 @pytest.mark.parametrize("coeffs, budget, reruns", [
