@@ -5,7 +5,8 @@ restarted ascent on seeded integer-valued forms whose full sign grid
 exceeds the budget: the benchmark's three former heuristic shapes, a
 degree-4 form, size-1-slot forms, and `triple221` and small forms under
 budgets that stop the restarts part-way.  (Degree-1 forms are always
-exact and never reach the ascent.)  They were recorded through `sup_norm`
+exact and never reach the ascent; the degree-1 cases once frozen here
+are checked exact instead.)  They were recorded through `sup_norm`
 with the ascent that ran its restarts one after another, when `sup_norm`
 took the ascent for every such case.  It now
 computes many of them exactly, so those cases call `_ascent_sup`
@@ -109,6 +110,30 @@ def test_goldens_reach_the_heuristic(goldens):
             heuristic.add(_key(case))
     assert {"sign (64, 64) seed=1 budget=None", "triple221 None seed=0 budget=40"} <= heuristic
     assert "sign (12, 12) seed=0 budget=None" not in heuristic
+
+
+#: Degree-1 cases the ascent once froze, with the heuristic value it found.
+#: `sup_norm` now computes them exactly at the same budgets.
+DEGREE_ONE_CASES = [
+    (("int", (30,), 4, None), 39.0),
+    (("int", (14,), 11, 1), 7.0),
+    (("int", (14,), 11, 5), 7.0),
+    (("int", (14,), 11, 40), 15.0),
+    (("int", (14,), 11, 500), 15.0),
+    (("int", (14,), 11, 5000), 15.0),
+]
+
+
+@pytest.mark.parametrize("case, heuristic", DEGREE_ONE_CASES,
+                         ids=[_key(case) for case, _ in DEGREE_ONE_CASES])
+def test_degree_one_cases_are_exact(case, heuristic):
+    # A degree-1 form's sup norm is its l1 norm, reached on 2^n sign
+    # vectors; it is exact at every budget and no lower than the ascent was.
+    form = _form(*case[:3])
+    res = sup_norm(form, budget=_budget(case))
+    assert res.exact
+    assert res.value == np.abs(form.coeffs).sum() >= heuristic
+    assert res.evaluations == 2 ** form.coeffs.size
 
 
 if __name__ == "__main__":
