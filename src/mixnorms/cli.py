@@ -5,7 +5,10 @@ Every library operation is exposed as a subcommand; results print as
 ``--json``, as exactly one JSON document on standard output.  `main`
 returns the exit code: 0 ok (``--help`` too), 1 domain error (bad file,
 precondition violation; one ``error:`` line on stderr), 2 usage error
-(argparse prints the usage and the problem on stderr).
+(argparse prints the usage and the problem on stderr).  `main` builds the
+parser of the named subcommand alone, and every subcommand's for help and
+top-level errors; none is cached across calls, since the benchmark's peak
+memory grows with its call rate.
 
 Form arguments resolve built-in catalog names first (littlewood2,
 triple221); an ``@`` prefix forces reading a JSON form file, and unknown
@@ -137,86 +140,87 @@ def _catalog(args) -> dict:
     return {"files": written}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="mixnorms", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+# name -> (help, handler, argument specs {flag: add_argument keywords});
+# every subcommand also takes --json.
+_COMMANDS = {
+    "norm": ("sup norm of a form over the unit balls of c0", _norm, {
+        "--form": dict(required=True),
+        "--budget": dict(type=int, default=forms.DEFAULT_SUP_BUDGET,
+                         help="exact if the exact kernel's work, 2^(sum(dims) - max(dims) - m + 1)"
+                         " * max(dims), fits this or the form's size (evaluations then reports the"
+                         " full 2^sum(dims) grid); else at most this many ascent evaluations")}),
+    "mixed": ("nested mixed norm of a form", _mixed, {
+        "--form": dict(required=True),
+        "--exps": dict(required=True, help="'q1,q2,...' or 'n1:q1|n2:q2|...'")}),
+    "certify": ("mixed/sup ratio certificate for a form",
+                lambda a: search.certify(_resolve_form(a.form),
+                                         ExponentTuple.parse(a.exps)).to_dict(), {
+        "--form": dict(required=True),
+        "--exps": dict(required=True)}),
+    "optimize": ("hill-climb coefficient tensors for a large ratio", _optimize, {
+        "--dims": dict(required=True, help="'d1,d2,...'"),
+        "--exps": dict(required=True),
+        "--budget": dict(type=int, default=10_000),
+        "--seed": dict(type=int, default=0),
+        "--restarts": dict(type=int, default=None),
+        "--refine": dict(action="store_true")}),
+    "growth": ("best ratios over growing support sizes", _growth, {
+        "--exps": dict(required=True),
+        "--n-list": dict(required=True, help="'2,3,4'"),
+        "--trials": dict(type=int, default=8),
+        "--seed": dict(type=int, default=0),
+        "--budget": dict(type=int, default=20_000, help="evaluations per n")}),
+    "interpolate": ("interpolate exponent tuples and constants", _interpolate, {
+        "--tuples": dict(required=True, help="semicolon-separated, e.g. '1,2,2;2,1,2;2,2,1'"),
+        "--weights": dict(default=None, help="'w1,w2,...' (default: equal)"),
+        "--constants": dict(required=True, help="'c1,c2,...'")}),
+    "khinchin": ("sharp real Khinchin constant A_p",
+                 lambda a: asdict(constants.khinchin_A(a.p)), {
+        "--p": dict(required=True, type=parse_number)}),
+    "p0": ("branch point of the Khinchin constant formulas", _p0, {
+        "--tol": dict(type=float, default=1e-10)}),
+    "bh-bound": ("Khinchin-recursion upper bound for the degree-m constant",
+                 lambda a: {"m": a.m, "value": constants.bh_upper_bound(a.m)}, {
+        "--m": dict(required=True, type=int)}),
+    "equiv-gap": ("multiplicative width of the degree-lifting sandwich",
+                  lambda a: {"m": a.m, "value": constants.equivalence_gap(a.m)}, {
+        "--m": dict(required=True, type=int)}),
+    "cotype-ratio": ("exact cotype-2 ratio of a vector family in l_r", _cotype_ratio, {
+        "--instance": dict(default=None, help="JSON instance file ('@' prefix optional)"),
+        "--vectors": dict(default=None, help="'1,1;1,-1'"),
+        "--r": dict(type=parse_number, default=None),
+        "--s": dict(type=parse_number, default=None, help="default: r")}),
+    "cotype-bounds": ("bounds for the cotype-2 constant of l_r",
+                      lambda a: asdict(cotype.cotype_bounds(a.r)), {
+        "--r": dict(required=True, type=parse_number)}),
+    "catalog": ("write the built-in forms to JSON files", _catalog, {
+        "--out": dict(default=".")}),
+    "equivalence-demo": ("check the degree-lifting norm identity",
+                         lambda a: asdict(search.equivalence_demo(_resolve_form(a.form), a.m)), {
+        "--form": dict(required=True),
+        "--m": dict(required=True, type=int)}),
+}
 
-    def add(name: str, help_text: str, handler) -> argparse.ArgumentParser:
-        """Subcommand whose handler maps the parsed arguments to a payload."""
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone if it names one.
+
+    A lone subcommand's parser still lists every name in the top-level
+    usage line, so its usage errors print what the full parser prints.  The
+    full parser leaves that line to argparse, which names a missing
+    subcommand `command`.
+    """
+    parser = argparse.ArgumentParser(prog="mixnorms", description=__doc__.splitlines()[0])
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, handler, specs = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit one JSON document")
+        for flag, keywords in specs.items():
+            p.add_argument(flag, **keywords)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("norm", "sup norm of a form over the unit balls of c0", _norm)
-    p.add_argument("--form", required=True)
-    p.add_argument("--budget", type=int, default=forms.DEFAULT_SUP_BUDGET,
-                   help="exact if the exact kernel's work, 2^(sum(dims) - max(dims) - m + 1)"
-                   " * max(dims), fits this or the form's size (evaluations then reports the"
-                   " full 2^sum(dims) grid); else at most this many ascent evaluations")
-
-    p = add("mixed", "nested mixed norm of a form", _mixed)
-    p.add_argument("--form", required=True)
-    p.add_argument("--exps", required=True, help="'q1,q2,...' or 'n1:q1|n2:q2|...'")
-
-    p = add("certify", "mixed/sup ratio certificate for a form",
-            lambda a: search.certify(_resolve_form(a.form), ExponentTuple.parse(a.exps)).to_dict())
-    p.add_argument("--form", required=True)
-    p.add_argument("--exps", required=True)
-
-    p = add("optimize", "hill-climb coefficient tensors for a large ratio", _optimize)
-    p.add_argument("--dims", required=True, help="'d1,d2,...'")
-    p.add_argument("--exps", required=True)
-    p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=None)
-    p.add_argument("--refine", action="store_true")
-
-    p = add("growth", "best ratios over growing support sizes", _growth)
-    p.add_argument("--exps", required=True)
-    p.add_argument("--n-list", required=True, help="'2,3,4'")
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=20_000, help="evaluations per n")
-
-    p = add("interpolate", "interpolate exponent tuples and constants", _interpolate)
-    p.add_argument("--tuples", required=True, help="semicolon-separated, e.g. '1,2,2;2,1,2;2,2,1'")
-    p.add_argument("--weights", default=None, help="'w1,w2,...' (default: equal)")
-    p.add_argument("--constants", required=True, help="'c1,c2,...'")
-
-    p = add("khinchin", "sharp real Khinchin constant A_p",
-            lambda a: asdict(constants.khinchin_A(a.p)))
-    p.add_argument("--p", required=True, type=parse_number)
-
-    p = add("p0", "branch point of the Khinchin constant formulas", _p0)
-    p.add_argument("--tol", type=float, default=1e-10)
-
-    p = add("bh-bound", "Khinchin-recursion upper bound for the degree-m constant",
-            lambda a: {"m": a.m, "value": constants.bh_upper_bound(a.m)})
-    p.add_argument("--m", required=True, type=int)
-
-    p = add("equiv-gap", "multiplicative width of the degree-lifting sandwich",
-            lambda a: {"m": a.m, "value": constants.equivalence_gap(a.m)})
-    p.add_argument("--m", required=True, type=int)
-
-    p = add("cotype-ratio", "exact cotype-2 ratio of a vector family in l_r", _cotype_ratio)
-    p.add_argument("--instance", default=None, help="JSON instance file ('@' prefix optional)")
-    p.add_argument("--vectors", default=None, help="'1,1;1,-1'")
-    p.add_argument("--r", type=parse_number, default=None)
-    p.add_argument("--s", type=parse_number, default=None, help="default: r")
-
-    p = add("cotype-bounds", "bounds for the cotype-2 constant of l_r",
-            lambda a: asdict(cotype.cotype_bounds(a.r)))
-    p.add_argument("--r", required=True, type=parse_number)
-
-    p = add("catalog", "write the built-in forms to JSON files", _catalog)
-    p.add_argument("--out", default=".")
-
-    p = add("equivalence-demo", "check the degree-lifting norm identity",
-            lambda a: asdict(search.equivalence_demo(_resolve_form(a.form), a.m)))
-    p.add_argument("--form", required=True)
-    p.add_argument("--m", required=True, type=int)
-
     return parser
 
 
@@ -240,8 +244,9 @@ def _text(payload: dict) -> str:
 
 def main(argv=None) -> int:
     """Run one command line (default: sys.argv[1:]) and return its exit code."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage or the help
         return exc.code
     try:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sized
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,13 @@ class CotypeBounds:
 
 
 def _as_matrix(vectors) -> np.ndarray:
-    mat = np.asarray(vectors, dtype=float)
+    try:
+        mat = np.asarray(vectors, dtype=float)
+    except ValueError:  # lengths are read only once numpy has refused the family
+        lengths = [len(v) for v in vectors if isinstance(v, Sized)]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"vectors must share one dimension, got lengths {lengths}") from None
+        raise
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
         raise ValueError("need n >= 1 vectors of a common dimension d >= 1")
     if not np.all(np.isfinite(mat)):

@@ -9,19 +9,25 @@ import sys
 
 import pytest
 
-from mixnorms import load_form, random_sign_form, save_form
+from mixnorms import cli, load_form, random_sign_form, save_form
 from mixnorms.cli import main
 
 SQRT2 = math.sqrt(2.0)
 
 
-def run_ok(argv):
-    """Payload of `main([*argv, "--json"])`, which must exit 0."""
+def _outcome(argv):
+    """Exit code, stdout and stderr of `main(argv)`."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*argv, "--json"])
-    assert code == 0, err.getvalue()
-    return json.loads(out.getvalue())
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_ok(argv):
+    """Payload of `main([*argv, "--json"])`, which must exit 0."""
+    code, out, err = _outcome([*argv, "--json"])
+    assert code == 0, err
+    return json.loads(out)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +95,12 @@ def test_cotype_ratio_inline_vectors():
     payload = run_ok(["cotype-ratio", "--vectors", "1,1;1,-1", "--r", "1"])
     assert payload["ratio"] == pytest.approx(SQRT2, abs=1e-12)
     assert payload["s"] == 1.0  # defaults to r
+
+
+def test_cotype_ratio_ragged_vectors_is_domain_error(capsys):
+    assert main(["cotype-ratio", "--vectors", "1,1;1", "--r", "1.5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: vectors must share one dimension, got lengths [2, 1]\n")
 
 
 def test_cotype_ratio_instance_file(tmp_path):
@@ -355,6 +367,62 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["norm", "--frobnicate"]) == 2
     assert "usage" in capsys.readouterr().err.lower()
+
+
+#: Valid options for each subcommand.  Every argv built from them below
+#: fails in the parser, so no handler runs (catalog writes nothing).
+VALID = {
+    "norm": ["--form", "littlewood2"],
+    "mixed": ["--form", "triple221", "--exps", "2,2,1"],
+    "certify": ["--form", "triple221", "--exps", "2,2,1"],
+    "optimize": ["--dims", "2,2", "--exps", "1,2"],
+    "growth": ["--exps", "1,2", "--n-list", "2,3"],
+    "interpolate": ["--tuples", "1,2;2,1", "--constants", "2,2"],
+    "khinchin": ["--p", "4/3"],
+    "p0": ["--tol", "1e-8"],
+    "bh-bound": ["--m", "3"],
+    "equiv-gap": ["--m", "100"],
+    "cotype-ratio": ["--vectors", "1,1;1,-1", "--r", "1"],
+    "cotype-bounds": ["--r", "1.5"],
+    "catalog": ["--out", "forms"],
+    "equivalence-demo": ["--form", "littlewood2", "--m", "3"],
+}
+
+
+def _parse_failures(name):
+    """Help, an unknown option, an extra argument and, where the subcommand
+    has one, a missing required option."""
+    cases = [[name, "--help"], [name, "--frobnicate"], [name, *VALID[name], "extra"]]
+    if any(spec.get("required") for spec in cli._COMMANDS[name][2].values()):
+        cases.append([name, *VALID[name][2:]])  # its first option left out
+    return cases
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h", "norm"], ["no-such-command"],
+    *(argv for name in VALID for argv in _parse_failures(name)),
+])
+def test_main_prints_what_the_full_parser_prints(monkeypatch, argv):
+    lazy = _outcome(argv)
+    full_parser = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_parser())
+    assert lazy == _outcome(argv)
+    assert lazy[0] == (0 if "--help" in argv or "-h" in argv else 2)
+    if not argv:
+        assert lazy[2].endswith("error: the following arguments are required: command\n")
+
+
+def test_a_named_subcommand_builds_its_parser_alone():
+    assert list(VALID) == list(cli._COMMANDS)
+    for name in VALID:
+        sub = next(a for a in cli._build_parser(name)._actions if a.dest == "command")
+        assert list(sub.choices) == [name]
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["mixnorms", "khinchin", "--p", "2", "--json"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,22 @@ def test_instance_dict_validation(doc, message):
         instance_from_dict(doc)
 
 
+RAGGED_MESSAGE = r"vectors must share one dimension, got lengths \[2, 1\]"
+
+
+@pytest.mark.parametrize("fn", [cotype_ratio, rademacher_average, make_instance])
+def test_ragged_vectors_get_the_library_message(fn):
+    with pytest.raises(ValueError, match=RAGGED_MESSAGE):
+        fn([[1.0, 1.0], [1.0]], 1.5, 1.5)
+
+
+def test_ragged_instance_file_gets_the_library_message(tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"r": 1.5, "s": 1.5, "vectors": [[1, 1], [1]]}))
+    with pytest.raises(ValueError, match=RAGGED_MESSAGE):
+        load_instance(path)
+
+
 @pytest.mark.parametrize("r", [1.0, 4 / 3, 1.5, 2.0])
 def test_lhs_is_the_two_r_mixed_norm(r):
     mat = np.random.default_rng(5).standard_normal((4, 3))

@@ -3,7 +3,9 @@ every module-level private name is referenced somewhere in the package,
 every public module-level function or class is reached from outside its
 module, every private name that a docstring, comment or the README
 quotes in backticks is still defined, and numpy's random module appears
-only in the one sign-draw kernel, `forms._random_signs`.
+only in the one sign-draw kernel, `forms._random_signs`.  The README's
+command block shows one ``mixnorms <name>`` line per subcommand in
+`cli._COMMANDS`, in the table's order.
 
 The checks read the syntax trees of ``src/mixnorms/*.py``.  Imports in
 ``__init__.py`` are its public interface, and an import line marked
@@ -164,6 +166,14 @@ def test_one_random_draw():
     # Every random sign in the package comes from one kernel.
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     assert random_homes(sources) == ["forms.py: _random_signs"]
+
+
+def test_readme_command_block_lists_every_subcommand():
+    from mixnorms.cli import _COMMANDS
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    assert re.findall(r"^mixnorms (\S+)", block, re.MULTILINE) == list(_COMMANDS)
 
 
 def test_checks_catch_what_they_are_for():
