@@ -67,7 +67,7 @@ def _as_matrix(vectors) -> np.ndarray:
         lengths = [len(v) for v in vectors if isinstance(v, Sized)]
         if len(set(lengths)) > 1:
             raise ValueError(f"vectors must share one dimension, got lengths {lengths}") from None
-        raise
+        raise ValueError("vectors must be a list of equal-length lists of numbers") from None
     if mat.ndim != 2 or mat.shape[0] < 1 or mat.shape[1] < 1:
         raise ValueError("need n >= 1 vectors of a common dimension d >= 1")
     if not np.all(np.isfinite(mat)):
@@ -147,8 +147,6 @@ def extremal_instance(r: float) -> CotypeInstance:
     """The pair (1, 1), (1, -1) in l_r with s = r; every sign pattern gives
     a vector of norm 2, so the ratio is exactly 2^(1/r - 1/2) regardless
     of the average exponent."""
-    if not 1.0 <= r < math.inf:  # also rejects NaN
-        raise ValueError(f"need r >= 1 (finite), got {r}")
     return make_instance([[1.0, 1.0], [1.0, -1.0]], r, r)
 
 

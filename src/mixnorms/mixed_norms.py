@@ -124,30 +124,30 @@ def parse_number(token: str) -> float:
 def _blocked_tensor(coeffs: np.ndarray, exps: ExponentTuple) -> tuple[np.ndarray, bool]:
     """Collapse each block's slots onto one shared index.
 
-    Block j's index runs over the smallest support among its slots; the
-    resulting tensor has one axis per block.  Returns (tensor, ragged).
+    The last `exps.degree` axes of `coeffs` are the slots, and leading axes
+    batch independent tensors.  Block j's index runs over the smallest
+    support among its slots; the result keeps the batch axes, then has one
+    axis per block.  Each slot is labelled with its block's index in
+    `np.einsum`'s sublist form, whose labels run over [0, 52).  Returns
+    (tensor, ragged).
     """
-    if exps.degree != coeffs.ndim:
-        raise ValueError(
-            f"exponent tuple covers {exps.degree} slots but the form has degree {coeffs.ndim}"
-        )
-    if exps.is_unblocked:
+    if exps.is_unblocked:  # an identity einsum would add a sixth to a 2 x 2 `mixed_norm`
         return coeffs, False
+    if exps.k > 52:
+        raise ValueError(f"a blocked exponent tuple has at most 52 blocks, got {exps.k}")
+    shape = coeffs.shape[-exps.degree:]
     ragged = False
-    subscripts = []
+    labels = []
     slicer = []
     pos = 0
     for j, (n, _) in enumerate(exps.blocks):
-        covered = coeffs.shape[pos:pos + n]
-        rng = min(covered)
+        covered = shape[pos:pos + n]
         if len(set(covered)) > 1:
             ragged = True
-        letter = chr(ord("a") + j)
-        subscripts.extend(letter * n)
-        slicer.extend(slice(0, rng) for _ in range(n))
+        labels.extend([j] * n)
+        slicer.extend([slice(min(covered))] * n)
         pos += n
-    out = "".join(chr(ord("a") + j) for j in range(exps.k))
-    blocked = np.einsum("".join(subscripts) + "->" + out, coeffs[tuple(slicer)])
+    blocked = np.einsum(coeffs[(..., *slicer)], [..., *labels], [..., *range(exps.k)])
     return blocked, ragged
 
 
@@ -182,8 +182,12 @@ def mixed_norm(form: MultilinearForm, exps: ExponentTuple) -> float:
     Finitely supported forms make every sum finite, so the value is exact
     up to the rounding of numpy's sums, taken innermost level first.  A
     block covering slots of unequal support emits RaggedBlockWarning and
-    ranges over the smallest.
+    ranges over the smallest.  The tuple must cover every slot of the form.
     """
+    if exps.degree != form.degree:
+        raise ValueError(
+            f"exponent tuple covers {exps.degree} slots but the form has degree {form.degree}"
+        )
     blocked, ragged = _blocked_tensor(form.coeffs, exps)
     if ragged:
         warnings.warn(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -131,10 +131,10 @@ class _Moves:
     upper levels are recomputed by `_outer_sums`, the helper of
     `_nested_norm`.  The fiber each entry feeds is read off
     `_blocked_tensor` of the tensor of flat entry indices, the layout
-    `mixed_norm` blocks with; a stack is blocked with its restart axis as
-    one more singleton block.  A move between -1 and +1 keeps F, and both
-    moves of a zero entry make the same F, so a batch needs one trial F
-    per entry.
+    `mixed_norm` blocks with, and a stack is blocked with its restart axis
+    as the kernel's batch axis.  A move between -1 and +1 keeps F, and
+    both moves of a zero entry make the same F, so a batch needs one trial
+    F per entry.
 
     The state (G transposed, R, F) has a leading restart axis, and `score`
     and `move` act on many restarts per call.  Built from scratch, the
@@ -166,8 +166,7 @@ class _Moves:
         self.fiber = np.full(entries.size, -1, dtype=np.int32)
         self.fiber[blocked.reshape(self.fibers.size, -1)] = self.fibers[:, None]
 
-        # A stack's restart axis is blocked as one more singleton block.
-        self.stacked = ExponentTuple(((1, 1.0),) + exps.blocks)
+        self.exps = exps
         self.exponents = exps.exponents
         self.root = 1.0 / self.exponents[0]
         width = max(math.prod(t.shape[1] for t in self.tables), self.fibers.size)
@@ -197,7 +196,7 @@ class _Moves:
             rest = g.shape[1] // len(t)
             g = np.matmul(t.T, g.reshape(len(g), len(t), rest)).reshape(-1, rest)
         g_t = np.ascontiguousarray(g.reshape(n, -1, g.shape[1]).transpose(0, 2, 1))
-        blocked, _ = _blocked_tensor(stack, self.stacked)
+        blocked, _ = _blocked_tensor(stack, self.exps)
         inner = _power(np.abs(blocked), self.exponents[-1]).sum(axis=-1).reshape(n, -1)
         return g_t, np.abs(g_t).sum(axis=1), inner
 
@@ -519,7 +518,7 @@ def optimize_ratio(
 
 
 def growth_witness(
-    exps: ExponentTuple | Callable[[int], ExponentTuple],
+    exps: ExponentTuple,
     n_list: Sequence[int],
     trials: int = 8,
     seed: int = 0,
@@ -529,17 +528,15 @@ def growth_witness(
 
     For tuples without a uniform constant the optimum is unbounded in n
     but can be flat over small n: for (1,1) it is 2 at n = 2, 3, 4 and
-    grows like sqrt(n).  For admissible tuples it stays bounded.  `exps`
-    is a fixed tuple or a callable n -> tuple.  Every ratio has an exact
-    sup norm, as `optimize_ratio` admits no other dims.
+    grows like sqrt(n).  For admissible tuples it stays bounded.  Every
+    ratio has an exact sup norm, as `optimize_ratio` admits no other dims.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     rows = []
     for n in n_list:
-        e = exps(n) if callable(exps) else exps
-        dims = (int(n),) * e.degree
-        cert = optimize_ratio(dims, e, budget=budget_per_n, seed=seed, restarts=trials)
+        dims = (int(n),) * exps.degree
+        cert = optimize_ratio(dims, exps, budget=budget_per_n, seed=seed, restarts=trials)
         rows.append((int(n), cert.ratio))
     return rows
 

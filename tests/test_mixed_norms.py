@@ -16,7 +16,7 @@ from mixnorms import (
     sup_norm,
     triple221,
 )
-from mixnorms.mixed_norms import parse_number
+from mixnorms.mixed_norms import _blocked_tensor, parse_number
 
 from _oracles import brute_mixed
 
@@ -134,6 +134,36 @@ def test_blocked_mixed_norm_matches_oracle():
     assert mixed_norm(form, ExponentTuple(blocks)) == pytest.approx(
         brute_mixed(form.coeffs, blocks), rel=1e-12
     )
+
+
+def test_blocked_mixed_norm_past_26_blocks_matches_oracle():
+    rng = np.random.default_rng(4)
+    form = MultilinearForm(rng.normal(size=(2, 2, 2, 2, 2) + (1,) * 23))
+    blocks = ((2, 1.0), (1, 2.0), (1, 1.5), (1, 3.0)) + ((1, 2.0),) * 23
+    assert len(blocks) == 27
+    assert mixed_norm(form, ExponentTuple(blocks)) == pytest.approx(
+        brute_mixed(form.coeffs, blocks), rel=1e-12
+    )
+
+
+def test_blocked_tensor_batches_leading_axes():
+    stack = np.random.default_rng(5).normal(size=(2, 3, 3, 4, 2, 2))
+    exps = ExponentTuple(((2, 1.5), (2, 2.0)))
+    blocked, ragged = _blocked_tensor(stack, exps)
+    singles = [_blocked_tensor(t, exps) for t in stack.reshape(6, 3, 4, 2, 2)]
+    assert ragged and all(r for _, r in singles)
+    assert blocked.shape == (2, 3, 3, 2)
+    assert np.array_equal(blocked.reshape(6, 3, 2), np.stack([b for b, _ in singles]))
+
+
+def test_blocked_tuple_past_52_blocks_is_rejected():
+    def diagonal_form(k):  # (2, 2) then k - 1 singleton slots, blocked 2:1|1:2|...
+        form = MultilinearForm(np.ones((2, 2) + (1,) * (k - 1)))
+        return form, ExponentTuple(((2, 1.0),) + ((1, 2.0),) * (k - 1))
+
+    assert mixed_norm(*diagonal_form(52)) == 2.0
+    with pytest.raises(ValueError, match="at most 52 blocks, got 53"):
+        mixed_norm(*diagonal_form(53))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

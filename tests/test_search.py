@@ -336,13 +336,6 @@ def test_growth_inadmissible_one_one_reaches_two():
         assert ratio == pytest.approx(2.0, abs=1e-9)
 
 
-def test_growth_accepts_callable_family():
-    rows = growth_witness(
-        lambda n: ExponentTuple.parse("1,2"), [2, 3], trials=2, seed=0
-    )
-    assert len(rows) == 2
-
-
 def test_growth_rejects_unaffordable_sizes():
     with pytest.raises(ValueError, match="affordable"):
         growth_witness(ExponentTuple.parse("1,2"), [19], trials=1, seed=0)
