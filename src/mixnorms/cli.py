@@ -5,10 +5,9 @@ Every library operation is exposed as a subcommand; results print as
 ``--json``, as exactly one JSON document on standard output.  `main`
 returns the exit code: 0 ok (``--help`` too), 1 domain error (bad file,
 precondition violation; one ``error:`` line on stderr), 2 usage error
-(argparse prints the usage and the problem on stderr).  `main` builds the
-parser of the named subcommand alone, and every subcommand's for help and
-top-level errors; none is cached across calls, since the benchmark's peak
-memory grows with its call rate.
+(argparse prints the usage and the problem on stderr).  The parser is
+built once per process, on the first call of `main`, and parses every
+command line after it.
 
 Form arguments resolve built-in catalog names first (littlewood2,
 triple221); an ``@`` prefix forces reading a JSON form file, and unknown
@@ -18,6 +17,7 @@ names fall back to file paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -119,7 +119,7 @@ def _p0(args) -> dict:
 
 def _cotype_ratio(args) -> dict:
     if args.instance is not None:
-        inst = cotype.load_instance(args.instance.lstrip("@"))
+        inst = cotype.load_instance(args.instance.removeprefix("@"))
     elif args.vectors is not None and args.r is not None:
         s = args.s if args.s is not None else args.r
         inst = cotype.make_instance(_parse_vectors(args.vectors), args.r, s)
@@ -202,20 +202,17 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone if it names one.
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call only.
 
-    A lone subcommand's parser still lists every name in the top-level
-    usage line, so its usage errors print what the full parser prints.  The
-    full parser leaves that line to argparse, which names a missing
-    subcommand `command`.
+    Every call of `main` shares it, so no argument spec may have a mutable
+    default or an accumulating action.  Help text reads the terminal width
+    (``COLUMNS``) when it prints, not when the parser is built.
     """
     parser = argparse.ArgumentParser(prog="mixnorms", description=__doc__.splitlines()[0])
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, handler, specs = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, specs) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit one JSON document")
         for flag, keywords in specs.items():
@@ -246,7 +243,7 @@ def main(argv=None) -> int:
     """Run one command line (default: sys.argv[1:]) and return its exit code."""
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage or the help
         return exc.code
     try:

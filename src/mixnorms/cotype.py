@@ -64,7 +64,8 @@ def _as_matrix(vectors) -> np.ndarray:
     try:
         mat = np.asarray(vectors, dtype=float)
     except ValueError:  # lengths are read only once numpy has refused the family
-        lengths = [len(v) for v in vectors if isinstance(v, Sized)]
+        # A 0-d array is Sized but has no length.
+        lengths = [len(v) for v in vectors if isinstance(v, Sized) and getattr(v, "ndim", 1) == 1]
         if len(set(lengths)) > 1:
             raise ValueError(f"vectors must share one dimension, got lengths {lengths}") from None
         raise ValueError("vectors must be a list of equal-length lists of numbers") from None

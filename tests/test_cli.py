@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -107,6 +108,14 @@ def test_cotype_ratio_instance_file(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({"r": 1.5, "s": 1.5, "vectors": [[1, 1], [1, -1]]}))
     payload = run_ok(["cotype-ratio", "--instance", f"@{path}"])
+    assert payload["ratio"] == pytest.approx(2.0 ** (1.0 / 6.0), abs=1e-12)
+
+
+def test_cotype_ratio_instance_strips_one_at(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "@inst.json").write_text(
+        json.dumps({"r": 1.5, "s": 1.5, "vectors": [[1, 1], [1, -1]]}))
+    payload = run_ok(["cotype-ratio", "--instance", "@@inst.json"])
     assert payload["ratio"] == pytest.approx(2.0 ** (1.0 / 6.0), abs=1e-12)
 
 
@@ -402,21 +411,43 @@ def _parse_failures(name):
     [], ["--help"], ["-h", "norm"], ["no-such-command"],
     *(argv for name in VALID for argv in _parse_failures(name)),
 ])
-def test_main_prints_what_the_full_parser_prints(monkeypatch, argv):
-    lazy = _outcome(argv)
-    full_parser = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full_parser())
-    assert lazy == _outcome(argv)
-    assert lazy[0] == (0 if "--help" in argv or "-h" in argv else 2)
+def test_the_cached_parser_prints_the_same_after_another_command(argv):
+    first = _outcome(argv)
+    assert _outcome(["bh-bound", "--m", "3", "--json"])[0] == 0
+    assert _outcome(argv) == first
+    assert first[0] == (0 if "--help" in argv or "-h" in argv else 2)
     if not argv:
-        assert lazy[2].endswith("error: the following arguments are required: command\n")
+        assert first[2].endswith("error: the following arguments are required: command\n")
 
 
-def test_a_named_subcommand_builds_its_parser_alone():
+def test_main_builds_the_parser_once(monkeypatch):
     assert list(VALID) == list(cli._COMMANDS)
-    for name in VALID:
-        sub = next(a for a in cli._build_parser(name)._actions if a.dest == "command")
-        assert list(sub.choices) == [name]
+    inits = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: inits.append(self) or init(self, *a, **k))
+    cli._build_parser.cache_clear()
+    for argv in (["bh-bound", "--m", "3"], ["norm", "--frobnicate"], ["--help"],
+                 ["khinchin", "--help"], ["no-such-command"], ["p0", "--json"]):
+        _outcome(argv)
+    assert len(inits) == 1 + len(cli._COMMANDS)  # the top-level parser and one per subcommand
+
+
+def test_help_wraps_to_the_columns_at_print_time(monkeypatch):
+    widest = {}
+    for columns in (60, 200):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        code, out, _ = _outcome(["norm", "--help"])
+        assert code == 0
+        widest[columns] = max(len(line) for line in out.splitlines())
+    assert widest[60] <= 60 < widest[200] <= 200
+
+
+def test_cached_parser_defaults_are_immutable():
+    for _, _, specs in cli._COMMANDS.values():
+        for flag, keywords in specs.items():
+            assert isinstance(keywords.get("default"), (type(None), bool, int, float, str)), flag
+            assert keywords.get("action") not in ("append", "append_const", "extend"), flag
 
 
 def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):

@@ -359,7 +359,9 @@ def test_ragged_vectors_get_the_library_message(fn):
         fn([[1.0, 1.0], [1.0]], 1.5, 1.5)
 
 
-@pytest.mark.parametrize("vectors", [[1, [2, 3]], [[1, 2], [3, [4]]]])
+@pytest.mark.parametrize("vectors", [
+    [1, [2, 3]], [[1, 2], [3, [4]]], [np.array(1.0), [2, 3]], [[1, 2], np.array(3.0)],
+])
 def test_family_ragged_below_the_top_gets_the_library_message(vectors):
     with pytest.raises(ValueError, match="^vectors must be a list of equal-length lists of numbers$"):
         cotype_ratio(vectors, 1.5, 1.5)
