@@ -64,13 +64,9 @@ def _parse_ints(text: str) -> list[int]:
 
 def _norm(args) -> dict:
     form = _resolve_form(args.form)
-    payload = {"label": form.label, "dims": list(form.dims),
-               **asdict(forms.sup_norm(form, budget=args.budget))}
-    try:
-        str(payload["evaluations"])
-    except ValueError:  # an exact 2^sum(dims) past Python's int-to-str digit limit
-        payload["evaluations"] = f"2^{sum(form.dims)}"
-    return payload
+    res = forms.sup_norm(form, budget=args.budget)
+    return {"label": form.label, "dims": list(form.dims), **asdict(res),
+            "evaluations": forms._printable_count(res.evaluations)}
 
 
 def _mixed(args) -> dict:

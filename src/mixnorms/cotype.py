@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import _P0, _khinchin_gamma
-from .forms import _CHUNK, MultilinearForm, _is_number, _sign_vertices, sup_norm  # noqa: F401 (read by bench/tests)
+from .forms import (  # noqa: F401 (read by bench/tests)
+    _CHUNK, MultilinearForm, _is_number, _map_blocks, _sign_vertices, sup_norm,
+)
 from .mixed_norms import ExponentTuple, _nested_norm, _outer_sums
 from .search import certify
 
@@ -86,9 +88,12 @@ def rademacher_average(vectors, r: float, s: float) -> float:
     tables A = signs_hi @ X_hi + x_last and B = signs_lo @ X_lo hold at
     most 2^12 rows each, and the pattern with high part j and low part l
     sums to A[j] + B[l].  Blocks of A rows against all of B keep the two
-    block buffers at forms._CHUNK entries whatever n is.  Each block holds
-    the patterns' sums of |.|^r over coordinates, and `_outer_sums` of
-    the mixed-norm kernel takes them to the outer (s, r) level, p^(s/r).
+    buffers of a block at forms._CHUNK entries whatever n is.  Each block
+    holds the patterns' sums of |.|^r over coordinates, and `_outer_sums`
+    of the mixed-norm kernel takes them to the outer (s, r) level, p^(s/r).
+    From n = 17 on there are several blocks, and `_map_blocks` runs them
+    on its worker threads, each with its own buffers; `math.fsum` of the
+    block sums makes the average independent of their order.
     """
     mat = _as_matrix(vectors)
     n, d = mat.shape
@@ -105,9 +110,9 @@ def rademacher_average(vectors, r: float, s: float) -> float:
     low = np.ascontiguousarray((_sign_vertices(lo) @ free[:lo]).T)
     n_high, width = high.shape[1], low.shape[1]
     step = min(n_high, _CHUNK // width)  # powers of two: the blocks tile A
-    acc, term = np.empty((2, step, width))
-    partials = []
-    for start in range(0, n_high, step):
+
+    def block(start: int) -> float:
+        acc, term = np.empty((2, step, width))
         # Summing coordinates in order matches numpy's row sum for d < 8.
         for i in range(d):
             out = term if i else acc
@@ -117,7 +122,9 @@ def rademacher_average(vectors, r: float, s: float) -> float:
                 out **= r
             if i:
                 acc += term
-        partials.append(float(_outer_sums(acc, (s, r)).sum()))
+        return float(_outer_sums(acc, (s, r)).sum())
+
+    partials = _map_blocks(block, range(0, n_high, step))
     return (math.fsum(partials) / 2 ** (n - 1)) ** (1.0 / s)
 
 

@@ -13,7 +13,11 @@ and enumerates the sign vectors of the others, with one sign of each
 fixed, since flipping one argument only flips the sign of the value.  A
 degree-m form needs 2^(sum(dims) - max(dims) - m + 1) sign combinations,
 contracted in blocks of bounded size, and each one's closed-form l1 norm
-adds up max(dims) absolute values.  The exact value is used whenever that
+adds up max(dims) absolute values.  The first enumerated slot's blocks
+are independent: when there are several of at most `_CHUNK` elements,
+they run on a pool of threads, one per CPU the process may use up to
+`_MAX_WORKERS` (`_map_blocks`, shared with `cotype.rademacher_average`),
+with the same result bit for bit.  The exact value is used whenever that
 work fits the evaluation budget or the form's size, which the work equals
 when no enumerated slot has more than two entries.  Together the patterns
 and the closed form cover every vertex, so ``exact`` means that every
@@ -37,10 +41,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from functools import cache, lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,10 +60,16 @@ ASCENT_RESTARTS = 32
 
 _ASCENT_SEED = 7  # fixed internal seed: sup_norm must be deterministic
 
-#: Elements per contracted block in the exact sup norm.  Peak memory of the
-#: exact path is a few blocks or the form's own size, whichever is larger;
-#: it does not grow with the number of sign vertices or the budget.
+#: Elements per contracted block in the exact sup norm and per buffer of
+#: `cotype.rademacher_average`.  Peak memory of the exact path is a few
+#: blocks per worker of `_map_blocks` or the form's own size, whichever is
+#: larger; it does not grow with the number of sign vertices or the budget.
 _CHUNK = 1 << 15
+
+#: Most worker threads of `_map_blocks`, whatever the host: each runs one
+#: block at a time, so the cap bounds the extra block buffers (near 2 MiB
+#: at 4) and keeps the peak-memory bounds of the tests true on any machine.
+_MAX_WORKERS = 4
 
 #: Most coefficients a JSON form file may declare (512 MiB of float64),
 #: checked before the coefficient tensor is allocated.
@@ -115,6 +126,20 @@ class SupNormResult:
     exact: bool
     evaluations: int
 
+    def __repr__(self) -> str:
+        return (f"SupNormResult(value={self.value!r}, exact={self.exact!r}, "
+                f"evaluations={_printable_count(self.evaluations)})")
+
+
+def _printable_count(count: int) -> int | str:
+    """`count`, or the string ``2^N`` for an exact result's count of 2^N
+    vertices when Python's int-to-str digit limit refuses to print it."""
+    try:
+        str(count)
+    except ValueError:
+        return f"2^{count.bit_length() - 1}"
+    return count
+
 
 def evaluate(form: MultilinearForm, points: Sequence[Sequence[float]]) -> float:
     """Evaluate the form at one vector per slot.
@@ -158,12 +183,70 @@ def _sign_block(d: int, start: int, stop: int) -> np.ndarray:
     return _sign_vertices(d)[start:stop] if d <= _TABLE_BITS else _sign_rows(d, start, stop)
 
 
+def _cpus() -> int:
+    """CPUs this process may run on (all of the host's where the platform
+    has no affinity mask)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@cache
+def _pool():
+    """The thread pool of `_map_blocks`, built on first use with one worker
+    per CPU up to _MAX_WORKERS.  The import waits until then: most
+    processes never run a block on it."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(min(_cpus(), _MAX_WORKERS), thread_name_prefix="mixnorms")
+
+
+# A forked child has none of the parent's threads, so a pool inherited from
+# it would queue jobs that nothing runs.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _map_blocks(fn: Callable, items: Sequence) -> list:
+    """`[fn(x) for x in items]`, with the calls run on `_pool` when there
+    are two or more and the process may use more than one CPU.
+
+    The calls must be independent and call only private helpers, which
+    the benchmark's tracer does not wrap; numpy's loops release the
+    interpreter lock, so blocks overlap.  Each runs under the caller's
+    numpy error state, which a worker thread does not inherit.  The
+    results come back in block order; the first exception, in block
+    order, re-raises here once the blocks not yet started are cancelled."""
+    if len(items) < 2 or _cpus() < 2:
+        return [fn(x) for x in items]
+    err = np.geterr()
+
+    def call(x):
+        with np.errstate(**err):
+            return fn(x)
+
+    pool = _pool()
+    futures = [pool.submit(call, x) for x in items]
+    try:
+        return [f.result() for f in futures]
+    finally:
+        for f in futures:
+            f.cancel()
+
+
 def _max_l1(arr: np.ndarray, dims: tuple[int, ...], j: int) -> float:
     """Max over the sign vectors of slots j..m-2 of the l1 norm over the
     last slot, for `arr` of shape (dims[j], ..., dims[-1], P) holding P
     partial contractions (overwritten when j = m-1).  Each slot runs over
     the half of its table whose last sign is +1: flipping a whole slot
-    only flips the contracted vector, which keeps its l1 norm."""
+    only flips the contracted vector, which keeps its l1 norm.
+
+    The top level (j = 0) runs its blocks on `_map_blocks` when there are
+    several of at most _CHUNK elements each, one block per worker at a
+    time.  Deeper levels, and blocks larger than _CHUNK (whose overlap
+    would raise the peak, as on (2,)^16), run one after another.  The max
+    is the same in any order."""
     d = dims[j]
     flat = arr.reshape(d, -1)
     if j == len(dims) - 1:
@@ -171,6 +254,10 @@ def _max_l1(arr: np.ndarray, dims: tuple[int, ...], j: int) -> float:
         return float(np.abs(flat, out=flat).sum(axis=0).max())
     n = 2 ** (d - 1)
     step = max(1, _CHUNK // flat.shape[1])
+    if j == 0 and 1 < step < n:
+        return max(_map_blocks(
+            lambda start: _max_l1(flat.T @ _sign_block(d, start, min(n, start + step)).T, dims, 1),
+            range(0, n, step)))
     best = 0.0
     for start in range(0, n, step):
         stop = min(n, start + step)

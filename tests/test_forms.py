@@ -296,6 +296,13 @@ def test_sup_norm_exact_on_a_degree_one_form_past_the_budget():
     assert peak < 2 * form.coeffs.nbytes
 
 
+def test_sup_norm_result_repr_prints_an_exact_count_past_the_digit_limit():
+    # 2^16386 has 4,933 digits, past Python's default int-to-str limit.
+    res = sup_norm(random_sign_form((2 ** 14 + 2,), 0))
+    assert repr(res) == "SupNormResult(value=16386.0, exact=True, evaluations=2^16386)"
+    assert repr(sup_norm(littlewood2())) == "SupNormResult(value=2.0, exact=True, evaluations=16)"
+
+
 def test_sup_norm_invalid_budget():
     with pytest.raises(ValueError, match="budget"):
         sup_norm(littlewood2(), budget=0)

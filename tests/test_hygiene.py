@@ -3,9 +3,11 @@ every module-level private name is referenced somewhere in the package,
 every public module-level function or class is reached from outside its
 module, every private name that a docstring, comment or the README
 quotes in backticks is still defined, and numpy's random module appears
-only in the one sign-draw kernel, `forms._random_signs`.  The README's
-command block shows one ``mixnorms <name>`` line per subcommand in
-`cli._COMMANDS`, in the table's order.
+only in the one sign-draw kernel, `forms._random_signs`.  Only the one
+thread pool, `forms._pool`, imports ``concurrent.futures``, and no module
+imports ``threading`` or ``multiprocessing``.  The README's command block
+shows one ``mixnorms <name>`` line per subcommand in `cli._COMMANDS`, in
+the table's order.
 
 The checks read the syntax trees of ``src/mixnorms/*.py``.  Imports in
 ``__init__.py`` are its public interface, and an import line marked
@@ -137,6 +139,27 @@ def random_homes(sources: dict[str, str]) -> list[str]:
     return sorted(homes)
 
 
+def import_homes(sources: dict[str, str], names: set[str]) -> list[str]:
+    """Where `sources` import a module of `names` or one of its submodules:
+    the module-level definition holding the import, or its line outside
+    any, with the module it imports."""
+    homes = set()
+    for module, text in sources.items():
+        for top in ast.parse(text).body:
+            home = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    imported = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    imported = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+                else:
+                    continue
+                homes.update(f"{module}: {home or f'line {node.lineno}'}: {name}"
+                             for full in imported for name in names
+                             if full == name or full.startswith(name + "."))
+    return sorted(homes)
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
@@ -166,6 +189,14 @@ def test_one_random_draw():
     # Every random sign in the package comes from one kernel.
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     assert random_homes(sources) == ["forms.py: _random_signs"]
+
+
+def test_one_thread_pool():
+    # Worker threads come from one lazily built pool; its import waits for
+    # the first block run on it.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    names = {"concurrent.futures", "threading", "multiprocessing"}
+    assert import_homes(sources, names) == ["forms.py: _pool: concurrent.futures"]
 
 
 def test_readme_command_block_lists_every_subcommand():
@@ -202,3 +233,10 @@ def test_checks_catch_what_they_are_for():
     sources = {"a.py": "import numpy as np\n\ndef draw():\n    return np.random.PCG64(0)\n\n"
                        "SEED = numpy.random.SeedSequence()\n"}
     assert random_homes(sources) == ["a.py: draw", "a.py: line 6"]
+    sources = {"a.py": "import threading\n\ndef pool():\n"
+                       "    from concurrent.futures import Future\n    return Future\n",
+               "b.py": "from concurrent import futures\nimport multiprocessing.pool as mp\n"
+                       "from .threading import x\n"}
+    assert import_homes(sources, {"concurrent.futures", "threading", "multiprocessing"}) == [
+        "a.py: line 1: threading", "a.py: pool: concurrent.futures",
+        "b.py: line 1: concurrent.futures", "b.py: line 2: multiprocessing"]
