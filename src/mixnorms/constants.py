@@ -64,6 +64,8 @@ def solve_p0(tol: float) -> float:
     """
     if not tol > 0:  # also rejects NaN
         raise ValueError(f"tolerance must be positive, got {tol}")
+    if math.isinf(tol):
+        raise ValueError("tolerance must be finite, got inf")
     target = _SQRT_PI / 2.0
     lo, hi = 1.5, 2.0
     for _ in range(200):  # bracket reaches float resolution long before this

@@ -215,24 +215,18 @@ def _map_blocks(fn: Callable, items: Sequence) -> list:
     The calls must be independent and call only private helpers, which
     the benchmark's tracer does not wrap; numpy's loops release the
     interpreter lock, so blocks overlap.  Each runs under the caller's
-    numpy error state, which a worker thread does not inherit.  The
-    results come back in block order; the first exception, in block
-    order, re-raises here once the blocks not yet started are cancelled."""
+    numpy error state, which a worker thread does not inherit.  By
+    `Executor.map`, results come back in block order; the first exception,
+    in block order, re-raises once the blocks not yet started are cancelled."""
     if len(items) < 2 or _cpus() < 2:
-        return [fn(x) for x in items]
+        return list(map(fn, items))
     err = np.geterr()
 
     def call(x):
         with np.errstate(**err):
             return fn(x)
 
-    pool = _pool()
-    futures = [pool.submit(call, x) for x in items]
-    try:
-        return [f.result() for f in futures]
-    finally:
-        for f in futures:
-            f.cancel()
+    return list(_pool().map(call, items))
 
 
 def _max_l1(arr: np.ndarray, dims: tuple[int, ...], j: int) -> float:
@@ -254,17 +248,14 @@ def _max_l1(arr: np.ndarray, dims: tuple[int, ...], j: int) -> float:
         return float(np.abs(flat, out=flat).sum(axis=0).max())
     n = 2 ** (d - 1)
     step = max(1, _CHUNK // flat.shape[1])
-    if j == 0 and 1 < step < n:
-        return max(_map_blocks(
-            lambda start: _max_l1(flat.T @ _sign_block(d, start, min(n, start + step)).T, dims, 1),
-            range(0, n, step)))
-    best = 0.0
-    for start in range(0, n, step):
-        stop = min(n, start + step)
+
+    def block(start):
         # Contracting the leading axis keeps the next slot's axis leading
         # and collects the sign rows at the back.
-        best = max(best, _max_l1(flat.T @ _sign_block(d, start, stop).T, dims, j + 1))
-    return best
+        return _max_l1(flat.T @ _sign_block(d, start, min(n, start + step)).T, dims, j + 1)
+
+    starts = range(0, n, step)
+    return max(_map_blocks(block, starts) if j == 0 and step > 1 else map(block, starts))
 
 
 def _pattern_exponent(dims: Sequence[int]) -> int:
@@ -441,8 +432,8 @@ def sup_norm(form: MultilinearForm, budget: int = DEFAULT_SUP_BUDGET) -> SupNorm
     (`_ascent_sup`); `evaluations` counts d per step on a slot of size d,
     plus one per start vertex.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
+    if not 1 <= budget < math.inf:  # also rejects NaN
+        raise ValueError(f"budget must be finite and >= 1, got {budget}")
     if _exact_work_fits(form.dims, max(budget, form.coeffs.size)):
         return SupNormResult(_exact_sup(form.coeffs), True, 2 ** sum(form.dims))
     value, used = _ascent_sup(form.coeffs, budget)

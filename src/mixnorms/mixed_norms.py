@@ -183,6 +183,7 @@ def mixed_norm(form: MultilinearForm, exps: ExponentTuple) -> float:
     up to the rounding of numpy's sums, taken innermost level first.  A
     block covering slots of unequal support emits RaggedBlockWarning and
     ranges over the smallest.  The tuple must cover every slot of the form.
+    A value that overflows float64, or underflows it to 0, raises ValueError.
     """
     if exps.degree != form.degree:
         raise ValueError(
@@ -199,6 +200,8 @@ def mixed_norm(form: MultilinearForm, exps: ExponentTuple) -> float:
     value = _nested_norm(blocked, exps.exponents)
     if math.isinf(value):  # finite coefficients: a power overflowed float64
         raise ValueError(f"mixed norm under {exps} overflows float64")
+    if value == 0.0 and blocked.any():  # every nonzero power underflowed
+        raise ValueError(f"mixed norm under {exps} underflows float64")
     return value
 
 

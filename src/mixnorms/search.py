@@ -447,9 +447,9 @@ def optimize_ratio(
         raise ValueError(
             f"exponent tuple covers {exps.degree} slots but dims has {len(dims)}"
         )
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
-    if restarts is not None and restarts < 1:
+    if not 1 <= budget < math.inf:  # also rejects NaN
+        raise ValueError(f"budget must be finite and >= 1, got {budget}")
+    if restarts is not None and not restarts >= 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if not _exact_work_fits(dims, DEFAULT_SUP_BUDGET):
         raise ValueError(f"dims {dims} need 2^{_pattern_exponent(dims)} * "
@@ -531,7 +531,7 @@ def growth_witness(
     grows like sqrt(n).  For admissible tuples it stays bounded.  Every
     ratio has an exact sup norm, as `optimize_ratio` admits no other dims.
     """
-    if trials < 1:
+    if not trials >= 1:  # also rejects NaN
         raise ValueError(f"trials must be >= 1, got {trials}")
     rows = []
     for n in n_list:

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from mixnorms import cli, load_form, random_sign_form, save_form
+from mixnorms import cli, littlewood2, load_form, random_sign_form, save_form
 from mixnorms.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -211,6 +211,15 @@ def test_p0_nan_tolerance_is_domain_error(capsys):
     assert "error: tolerance must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["mixed", "certify"])
+def test_underflowing_mixed_norm_is_domain_error(tmp_path, command):
+    # The true value is 2e-200: a norm of 0 would give certify a ratio of 0.
+    path = tmp_path / "tiny.json"
+    save_form(littlewood2().scaled(1e-200), path)
+    assert _outcome([command, "--form", f"@{path}", "--exps", "2,2"]) == (
+        1, "", "error: mixed norm under 2,2 underflows float64\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["optimize", "--dims", "2,2", "--exps", "1,2", "--restarts", "0"],
     ["optimize", "--dims", "2,2", "--exps", "1,2", "--restarts", "-3"],
@@ -264,12 +273,14 @@ def test_zero_denominator_option_is_usage_error(capsys):
      "float64 range"),
     (["cotype-ratio", "--vectors", "1e-170,0;0,1e-170", "--r", "2", "--s", "4", "--json"],
      "float64 range"),
+    (["p0", "--tol", "inf", "--json"], "tolerance must be finite"),  # "tol": Infinity is not JSON
 ])
 def test_nan_or_overflow_is_domain_error(capsys, argv, message):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_optimize_overflowing_tuple_is_rejected_up_front(capsys):

@@ -102,6 +102,12 @@ def test_p0_rejects_nan_tolerance():
         solve_p0(math.nan)
 
 
+def test_p0_rejects_infinite_tolerance():
+    # Bisection would stop at once and return the first midpoint, 1.75.
+    with pytest.raises(ValueError, match="tolerance must be finite, got inf"):
+        solve_p0(math.inf)
+
+
 def test_gamma_reference_values():
     assert math.gamma(0.5) == pytest.approx(math.sqrt(math.pi), abs=1e-12)
     assert math.gamma(1.0) == pytest.approx(1.0, abs=1e-12)

@@ -308,6 +308,12 @@ def test_sup_norm_invalid_budget():
         sup_norm(littlewood2(), budget=0)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+def test_sup_norm_rejects_a_non_finite_budget(budget):
+    with pytest.raises(ValueError, match=f"budget must be finite and >= 1, got {budget}"):
+        sup_norm(littlewood2(), budget=budget)
+
+
 def test_sup_norm_exact_memory_does_not_grow_with_budget():
     # 2^40 sign vertices, whose full grid would take 8 TiB of values.
     form = random_sign_form((20, 20), 0)

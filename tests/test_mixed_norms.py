@@ -173,6 +173,20 @@ def test_overflowing_norm_is_rejected():
         mixed_norm(littlewood2(), ExponentTuple.parse("2000,1"))
 
 
+def test_underflowing_norm_is_rejected():
+    # The true value is 2e-200, but every (1e-200)^2 underflows to 0.
+    with pytest.raises(ValueError, match="under 2,2 underflows float64"):
+        mixed_norm(littlewood2().scaled(1e-200), ExponentTuple.parse("2,2"))
+
+
+@pytest.mark.parametrize("coeffs, exps", [
+    ([[0.0, 0.0], [0.0, 0.0]], "2,2"),
+    ([[0.0, 1.0], [1.0, 0.0]], "2:2"),  # nonzero, but zero on the block's diagonal
+])
+def test_a_zero_norm_of_zero_entries_is_not_an_underflow(coeffs, exps):
+    assert mixed_norm(MultilinearForm(np.array(coeffs)), ExponentTuple.parse(exps)) == 0.0
+
+
 def test_ragged_block_warns_and_uses_min_range():
     form = MultilinearForm(np.arange(6, dtype=float).reshape(2, 3) + 1.0)
     with pytest.warns(RaggedBlockWarning):

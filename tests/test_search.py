@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+import signal
 import tracemalloc
 from unittest import mock
 
@@ -28,6 +30,21 @@ from mixnorms.search import _refine
 from _oracles import reference_ratio
 
 SQRT2 = math.sqrt(2.0)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raises TimeoutError inside the block once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +209,7 @@ def test_optimize_validates_arguments():
         optimize_ratio((2, 2), ExponentTuple.parse("1,2"), budget=10, seed=-1)
 
 
-@pytest.mark.parametrize("restarts", [0, -3])
+@pytest.mark.parametrize("restarts", [0, -3, float("nan")])
 def test_optimize_rejects_fewer_than_one_restart(restarts):
     with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
         optimize_ratio((2, 2), ExponentTuple.parse("1,2"), budget=10, seed=0, restarts=restarts)
@@ -201,6 +218,20 @@ def test_optimize_rejects_fewer_than_one_restart(restarts):
 def test_growth_rejects_fewer_than_one_trial():
     with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
         growth_witness(ExponentTuple.parse("1,2"), [2], trials=0, seed=0)
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+def test_optimize_rejects_a_non_finite_budget(budget):
+    # Under an infinite budget the memo hits of (2,2)'s few starts would
+    # repeat forever, hence the deadline.
+    match = f"budget must be finite and >= 1, got {budget}"
+    with _deadline(30), pytest.raises(ValueError, match=match):
+        optimize_ratio((2, 2), ExponentTuple.parse("1,2"), budget=budget, seed=0)
+
+
+def test_growth_rejects_nan_trials():
+    with pytest.raises(ValueError, match="trials must be >= 1, got nan"):
+        growth_witness(ExponentTuple.parse("1,2"), [2], trials=float("nan"))
 
 
 @pytest.mark.parametrize("dims, exps", [

@@ -135,6 +135,14 @@ def test_the_pool_is_built_only_for_several_small_blocks(cpus):
     assert _pool.cache_info().currsize == 0
 
 
+def test_the_sup_kernel_alone_builds_the_pool(cpus):
+    coeffs = random_sign_form((18, 18), 0).coeffs
+    pooled = _within(TIMEOUT, _exact_sup, coeffs)
+    assert _pool.cache_info().currsize == 1
+    cpus(1)
+    assert _exact_sup(coeffs) == pooled
+
+
 def _child_average(conn):
     conn.send(rademacher_average(np.ones((18, 2)), 1.5, 1.5))
     conn.close()
