@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .forms import _checked_count
 from .mixed_norms import ExponentTuple
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -109,8 +110,7 @@ def khinchin_A(p: float) -> KhinchinValue:
 
 def sqrt2_baseline(m: int) -> float:
     """(sqrt 2)^(m-1): the degree-m mixed (l1, l2) Littlewood constant."""
-    if m < 1:
-        raise ValueError(f"degree must be >= 1, got {m}")
+    m = _checked_count("degree", m)
     return 2.0 ** ((m - 1) / 2.0)
 
 
@@ -156,10 +156,7 @@ def interpolate(
 def bh_upper_bound(m: int) -> float:
     """Upper bound for the degree-m Bohnenblust-Hille constant from the
     Khinchin recursion C_1 = 1, C_m = A_{(2m-2)/m}^{-1} C_{m-1}."""
-    if m < 1:
-        raise ValueError(f"degree must be >= 1, got {m}")
-    if m > MAX_BH_DEGREE:
-        raise ValueError(f"degree must be <= {MAX_BH_DEGREE}, got {m}")
+    m = _checked_count("degree", m, most=MAX_BH_DEGREE)
     bound = 1.0
     for j in range(2, m + 1):
         bound /= khinchin_A((2.0 * j - 2.0) / j).value
@@ -171,6 +168,5 @@ def equivalence_gap(m: int) -> float:
     degree-(m-1) Bohnenblust-Hille constant to the (2, q, ..., q) mixed
     constant.  Tends to 1 as m grows, so the two sequences are
     asymptotically equivalent."""
-    if m < 2:
-        raise ValueError(f"gap defined for degree >= 2, got {m}")
+    m = _checked_count("degree", m, least=2)
     return 1.0 / khinchin_A((2.0 * m - 2.0) / m).value

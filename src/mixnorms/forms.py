@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -269,7 +270,7 @@ def _exact_work_fits(dims: Sequence[int], budget: int) -> bool:
     closed-form l1 norm; a degree-1 form's work is its size.  Decided from
     the exponent first, so no huge power is built."""
     exponent = _pattern_exponent(dims)
-    return exponent < int(budget).bit_length() and max(dims) << exponent <= budget
+    return exponent < budget.bit_length() and max(dims) << exponent <= budget
 
 
 def _slot_order(dims: Sequence[int]) -> list[int]:
@@ -432,8 +433,7 @@ def sup_norm(form: MultilinearForm, budget: int = DEFAULT_SUP_BUDGET) -> SupNorm
     (`_ascent_sup`); `evaluations` counts d per step on a slot of size d,
     plus one per start vertex.
     """
-    if not 1 <= budget < math.inf:  # also rejects NaN
-        raise ValueError(f"budget must be finite and >= 1, got {budget}")
+    budget = _checked_count("budget", budget)
     if _exact_work_fits(form.dims, max(budget, form.coeffs.size)):
         return SupNormResult(_exact_sup(form.coeffs), True, 2 ** sum(form.dims))
     value, used = _ascent_sup(form.coeffs, budget)
@@ -479,12 +479,24 @@ def permute_slots(form: MultilinearForm, order: Sequence[int]) -> MultilinearFor
     return MultilinearForm(np.transpose(form.coeffs, order), label=form.label)
 
 
+def _checked_count(name: str, value, least: int = 1, most: float = math.inf) -> int:
+    """`value` as a Python int if it is an integer (`_is_int`) in [least,
+    most]; else a ValueError naming `name` and the bound a number (NaN too)
+    misses, or for any other value (a float, bool, str or None) the rule."""
+    if isinstance(value, numbers.Real) and not least <= value <= most:
+        bound = f"<= {most}" if value > most else f">= {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _checked_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    """`dims` as a tuple of ints; raises unless it is nonempty and positive."""
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
+    """`dims` as a tuple of Python ints; raises unless nonempty and all >= 1."""
+    dims = tuple(dims)
+    if not dims or not all(_is_int(d) and d >= 1 for d in dims):
         raise ValueError(f"dims must be nonempty and positive, got {dims}")
-    return dims
+    return tuple(_checked_count("dims", d) for d in dims)
 
 
 def _random_signs(dims: tuple[int, ...], seeds: Sequence) -> np.ndarray:
@@ -525,7 +537,7 @@ def random_sign_form(dims: Sequence[int], seed) -> MultilinearForm:
 
 def form_to_dict(form: MultilinearForm) -> dict:
     entries = [
-        {"index": [int(j) + 1 for j in idx], "value": float(form.coeffs[idx])}
+        {"index": [j + 1 for j in idx], "value": float(form.coeffs[idx])}
         for idx in np.ndindex(*form.dims)
         if form.coeffs[idx] != 0.0
     ]
@@ -536,8 +548,8 @@ def form_to_dict(form: MultilinearForm) -> dict:
 
 
 def _is_int(x) -> bool:
-    """Whether `x` is a JSON integer (bool is not)."""
-    return isinstance(x, int) and not isinstance(x, bool)
+    """Whether `x` is a Python or numpy integer, not a bool (JSON gives only ints)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:

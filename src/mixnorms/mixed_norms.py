@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .forms import MultilinearForm, permute_slots
+from .forms import MultilinearForm, _checked_count, permute_slots
 
 #: Slack added to (k+1)/2 so tuples meeting the boundary with equality
 #: (e.g. the Bohnenblust-Hille exponents) classify as admissible.
@@ -44,12 +44,10 @@ class ExponentTuple:
     blocks: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        blocks = tuple((int(n), float(q)) for n, q in self.blocks)
+        blocks = tuple((_checked_count("block size", n), float(q)) for n, q in self.blocks)
         if not blocks:
             raise ValueError("an exponent tuple needs at least one block")
-        for n, q in blocks:
-            if n < 1:
-                raise ValueError(f"block size must be >= 1, got {n}")
+        for _, q in blocks:
             if not math.isfinite(q) or q < 1.0:
                 raise ValueError(f"exponent must be finite and >= 1, got {q}")
         object.__setattr__(self, "blocks", blocks)
@@ -207,8 +205,7 @@ def mixed_norm(form: MultilinearForm, exps: ExponentTuple) -> float:
 
 def bh_exponents(m: int) -> ExponentTuple:
     """The degree-m Bohnenblust-Hille tuple: m singleton blocks of 2m/(m+1)."""
-    if m < 1:
-        raise ValueError(f"degree must be >= 1, got {m}")
+    m = _checked_count("degree", m)
     q = 2.0 * m / (m + 1.0)
     return ExponentTuple.unblocked([q] * m)
 

@@ -36,6 +36,7 @@ from .forms import (
     DEFAULT_SUP_BUDGET,
     MultilinearForm,
     _CHUNK,
+    _checked_count,
     _checked_dims,
     _exact_work_fits,
     _pattern_exponent,
@@ -432,25 +433,22 @@ def optimize_ratio(
     restarts scores at most a quarter of `_Moves.block` entries per step.
 
     Dims are admitted iff `sup_norm` is exact on them at the default
-    budget (`_exact_work_fits`).  The budget counts evaluations, not work
-    (ROADMAP item 3): each scores a move against W / max(dims) sign rows,
-    W being that exact work.  Peak memory is c * 8W bytes plus a few
-    `_CHUNK` blocks, with c about 4 where W is much larger than the number
-    N of entries, and 11.8 at (2,)^16, where N = W (README, Notes on
-    exactness).  The final `certify` runs after the search's model,
-    starts and memo are released.
+    budget (`_exact_work_fits`).  The budget counts evaluations, not work:
+    each scores a move against W / max(dims) sign rows, W being that exact
+    work.  Peak memory is c * 8W bytes plus a few `_CHUNK` blocks, with c
+    about 4 where W is much larger than the number N of entries, and 11.8
+    at (2,)^16, where N = W (README, Notes on exactness).  The final
+    `certify` runs after the search's model, starts and memo are released.
     """
     dims = _checked_dims(dims)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    seed = _checked_count("seed", seed, least=0)
     if exps.degree != len(dims):
         raise ValueError(
             f"exponent tuple covers {exps.degree} slots but dims has {len(dims)}"
         )
-    if not 1 <= budget < math.inf:  # also rejects NaN
-        raise ValueError(f"budget must be finite and >= 1, got {budget}")
-    if restarts is not None and not restarts >= 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    budget = _checked_count("budget", budget)
+    if restarts is not None:
+        restarts = _checked_count("restarts", restarts)
     if not _exact_work_fits(dims, DEFAULT_SUP_BUDGET):
         raise ValueError(f"dims {dims} need 2^{_pattern_exponent(dims)} * "
                          f"{max(dims)} terms of exact sup-norm work; {DEFAULT_SUP_BUDGET} "
@@ -531,22 +529,17 @@ def growth_witness(
     grows like sqrt(n).  For admissible tuples it stays bounded.  Every
     ratio has an exact sup norm, as `optimize_ratio` admits no other dims.
     """
-    if not trials >= 1:  # also rejects NaN
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    rows = []
-    for n in n_list:
-        dims = (int(n),) * exps.degree
-        cert = optimize_ratio(dims, exps, budget=budget_per_n, seed=seed, restarts=trials)
-        rows.append((int(n), cert.ratio))
-    return rows
+    trials = _checked_count("trials", trials)
+    ns = [_checked_count("n", n) for n in n_list]
+    return [(n, optimize_ratio((n,) * exps.degree, exps, budget=budget_per_n, seed=seed,
+                               restarts=trials).ratio) for n in ns]
 
 
 def equivalence_demo(form: MultilinearForm, m: int) -> EquivalenceReport:
     """Check the lifting identity at degree m: with q = (2m-2)/m, the
     (2, q, ..., q) mixed norm of the lifted form equals the (q, ..., q)
     norm of the base form, and the sup norms agree."""
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    m = _checked_count("m", m, least=2)
     if form.degree != m - 1:
         raise ValueError(f"form must have degree m-1 = {m - 1}, got {form.degree}")
     q = (2.0 * m - 2.0) / m

@@ -5,9 +5,12 @@ module, every private name that a docstring, comment or the README
 quotes in backticks is still defined, and numpy's random module appears
 only in the one sign-draw kernel, `forms._random_signs`.  Only the one
 thread pool, `forms._pool`, imports ``concurrent.futures``, and no module
-imports ``threading`` or ``multiprocessing``.  The README's command block
-shows one ``mixnorms <name>`` line per subcommand in `cli._COMMANDS`, in
-the table's order.
+imports ``threading`` or ``multiprocessing``.  Only a short list of
+definitions call the builtin ``int``: the count check
+`forms._checked_count`, the text parsers and one numpy-to-Python count,
+so no count is truncated silently.  The README's command block shows one
+``mixnorms <name>`` line per subcommand in `cli._COMMANDS`, in the
+table's order.
 
 The checks read the syntax trees of ``src/mixnorms/*.py``.  Imports in
 ``__init__.py`` are its public interface, and an import line marked
@@ -160,6 +163,26 @@ def import_homes(sources: dict[str, str], names: set[str]) -> list[str]:
     return sorted(homes)
 
 
+def int_callers(sources: dict[str, str]) -> list[str]:
+    """The innermost definitions of `sources` (``Class.method`` for a
+    method) that call the builtin ``int``, or the lines of calls outside any."""
+    homes = set()
+
+    def visit(module: str, node: ast.AST, home: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "int"):
+                homes.add(f"{module}: {home or f'line {child.lineno}'}")
+            inner = home
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{home}.{child.name}" if home else child.name
+            visit(module, child, inner)
+
+    for module, text in sources.items():
+        visit(module, ast.parse(text), "")
+    return sorted(homes)
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
@@ -189,6 +212,15 @@ def test_one_random_draw():
     # Every random sign in the package comes from one kernel.
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     assert random_homes(sources) == ["forms.py: _random_signs"]
+
+
+def test_few_int_calls():
+    # A count is checked by `_checked_count`, never truncated by int();
+    # only text parsers and numpy-to-Python counts call it.
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert int_callers(sources) == [
+        "cli.py: _parse_ints", "forms.py: _ascent_sup", "forms.py: _checked_count",
+        "mixed_norms.py: ExponentTuple.parse"]
 
 
 def test_one_thread_pool():
@@ -240,3 +272,7 @@ def test_checks_catch_what_they_are_for():
     assert import_homes(sources, {"concurrent.futures", "threading", "multiprocessing"}) == [
         "a.py: line 1: threading", "a.py: pool: concurrent.futures",
         "b.py: line 1: concurrent.futures", "b.py: line 2: multiprocessing"]
+    sources = {"a.py": "def dims(n):\n    return (int(n),)\n\nclass T:\n    def parse(self, s):\n"
+                       "        return [int(t) for t in s]\n\nWIDTH = int('3')\n",
+               "b.py": "def f(x):\n    return isinstance(x, int) and x.int(2)\n"}
+    assert int_callers(sources) == ["a.py: T.parse", "a.py: dims", "a.py: line 8"]

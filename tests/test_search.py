@@ -220,11 +220,13 @@ def test_growth_rejects_fewer_than_one_trial():
         growth_witness(ExponentTuple.parse("1,2"), [2], trials=0, seed=0)
 
 
-@pytest.mark.parametrize("budget", [float("nan"), float("inf")])
-def test_optimize_rejects_a_non_finite_budget(budget):
+@pytest.mark.parametrize("budget, match", [
+    (float("nan"), "budget must be >= 1, got nan"),
+    (float("inf"), "budget must be an integer >= 1, got inf"),
+], ids=["nan", "inf"])
+def test_optimize_rejects_a_non_finite_budget(budget, match):
     # Under an infinite budget the memo hits of (2,2)'s few starts would
     # repeat forever, hence the deadline.
-    match = f"budget must be finite and >= 1, got {budget}"
     with _deadline(30), pytest.raises(ValueError, match=match):
         optimize_ratio((2, 2), ExponentTuple.parse("1,2"), budget=budget, seed=0)
 
@@ -403,7 +405,7 @@ def test_equivalence_demo_random_forms():
 def test_equivalence_demo_validates_degree():
     with pytest.raises(ValueError, match="degree"):
         equivalence_demo(littlewood2(), 4)
-    with pytest.raises(ValueError, match="m >= 2"):
+    with pytest.raises(ValueError, match="m must be >= 2, got 1"):
         equivalence_demo(littlewood2(), 1)
 
 
