@@ -91,9 +91,10 @@ def rademacher_average(vectors, r: float, s: float) -> float:
     buffers of a block at forms._CHUNK entries whatever n is.  Each block
     holds the patterns' sums of |.|^r over coordinates, and `_outer_sums`
     of the mixed-norm kernel takes them to the outer (s, r) level, p^(s/r).
-    From n = 17 on there are several blocks, and `_map_blocks` runs them
-    on its worker threads, each with its own buffers; `math.fsum` of the
-    block sums makes the average independent of their order.
+    From n = 17 on there are several blocks, and `_map_blocks` shares them
+    between the caller and its helper threads, each with its own buffers;
+    `math.fsum` of the block sums makes the average independent of their
+    order.
     """
     mat = _as_matrix(vectors)
     n, d = mat.shape

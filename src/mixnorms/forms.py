@@ -15,9 +15,10 @@ degree-m form needs 2^(sum(dims) - max(dims) - m + 1) sign combinations,
 contracted in blocks of bounded size, and each one's closed-form l1 norm
 adds up max(dims) absolute values.  The first enumerated slot's blocks
 are independent: when there are several of at most `_CHUNK` elements,
-they run on a pool of threads, one per CPU the process may use up to
-`_MAX_WORKERS` (`_map_blocks`, shared with `cotype.rademacher_average`),
-with the same result bit for bit.  The exact value is used whenever that
+the calling thread and up to `_MAX_WORKERS` - 1 helper threads, one per
+further CPU the process may use, each take the next block until none is
+left (`_map_blocks`, shared with `cotype.rademacher_average`), with the
+same result bit for bit.  The exact value is used whenever that
 work fits the evaluation budget or the form's size, which the work equals
 when no enumerated slot has more than two entries.  Together the patterns
 and the closed form cover every vertex, so ``exact`` means that every
@@ -63,13 +64,14 @@ _ASCENT_SEED = 7  # fixed internal seed: sup_norm must be deterministic
 
 #: Elements per contracted block in the exact sup norm and per buffer of
 #: `cotype.rademacher_average`.  Peak memory of the exact path is a few
-#: blocks per worker of `_map_blocks` or the form's own size, whichever is
+#: blocks per thread of `_map_blocks` or the form's own size, whichever is
 #: larger; it does not grow with the number of sign vertices or the budget.
 _CHUNK = 1 << 15
 
-#: Most worker threads of `_map_blocks`, whatever the host: each runs one
-#: block at a time, so the cap bounds the extra block buffers (near 2 MiB
-#: at 4) and keeps the peak-memory bounds of the tests true on any machine.
+#: Most threads of `_map_blocks`, the caller's included, whatever the
+#: host: each runs one block at a time, so the cap bounds the extra block
+#: buffers (near 2 MiB at 4) and keeps the peak-memory bounds of the tests
+#: true on any machine.
 _MAX_WORKERS = 4
 
 #: Most coefficients a JSON form file may declare (512 MiB of float64),
@@ -195,12 +197,12 @@ def _cpus() -> int:
 
 @cache
 def _pool():
-    """The thread pool of `_map_blocks`, built on first use with one worker
-    per CPU up to _MAX_WORKERS.  The import waits until then: most
-    processes never run a block on it."""
+    """The helper threads of `_map_blocks`, built on first use with one per
+    CPU beyond the caller's, up to _MAX_WORKERS - 1.  The import waits
+    until then: most processes never run a block on them."""
     from concurrent.futures import ThreadPoolExecutor
 
-    return ThreadPoolExecutor(min(_cpus(), _MAX_WORKERS), thread_name_prefix="mixnorms")
+    return ThreadPoolExecutor(min(_cpus(), _MAX_WORKERS) - 1, thread_name_prefix="mixnorms")
 
 
 # A forked child has none of the parent's threads, so a pool inherited from
@@ -210,24 +212,48 @@ if hasattr(os, "register_at_fork"):
 
 
 def _map_blocks(fn: Callable, items: Sequence) -> list:
-    """`[fn(x) for x in items]`, with the calls run on `_pool` when there
+    """`[fn(x) for x in items]`, with the calls shared between the caller
+    and min(CPUs, _MAX_WORKERS) - 1 helper threads of `_pool` when there
     are two or more and the process may use more than one CPU.
 
     The calls must be independent and call only private helpers, which
     the benchmark's tracer does not wrap; numpy's loops release the
-    interpreter lock, so blocks overlap.  Each runs under the caller's
-    numpy error state, which a worker thread does not inherit.  By
-    `Executor.map`, results come back in block order; the first exception,
-    in block order, re-raises once the blocks not yet started are cancelled."""
-    if len(items) < 2 or _cpus() < 2:
+    interpreter lock, so blocks overlap.  Every thread takes the next index
+    from one shared iterator, whose steps the interpreter lock keeps whole,
+    until it runs out, so at most min(CPUs, _MAX_WORKERS) calls run at once
+    and there is one job per helper, not per item.  Each call runs under
+    the caller's numpy error state, which a helper does not inherit.
+    Results come back in item order.  A thread that finds a call has
+    raised takes no further item, and the lowest failing item's exception
+    re-raises: indices are handed out in order, so every item below it has
+    run, and that is the exception the one-thread loop raises."""
+    helpers = min(_cpus(), _MAX_WORKERS, len(items)) - 1 if len(items) > 1 else 0
+    if helpers < 1:
         return list(map(fn, items))
     err = np.geterr()
+    indices = iter(range(len(items)))
+    results = [None] * len(items)
+    errors = {}
 
-    def call(x):
+    def work():
         with np.errstate(**err):
-            return fn(x)
+            for i in indices:
+                if errors:
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:  # re-raised below unless a lower item failed
+                    errors[i] = exc
+                    return
 
-    return list(_pool().map(call, items))
+    jobs = [_pool().submit(work) for _ in range(helpers)]
+    work()
+    for job in jobs:
+        if not job.cancel():  # a job still queued finds nothing left to do
+            job.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _max_l1(arr: np.ndarray, dims: tuple[int, ...], j: int) -> float:
@@ -237,11 +263,12 @@ def _max_l1(arr: np.ndarray, dims: tuple[int, ...], j: int) -> float:
     the half of its table whose last sign is +1: flipping a whole slot
     only flips the contracted vector, which keeps its l1 norm.
 
-    The top level (j = 0) runs its blocks on `_map_blocks` when there are
-    several of at most _CHUNK elements each, one block per worker at a
-    time.  Deeper levels, and blocks larger than _CHUNK (whose overlap
-    would raise the peak, as on (2,)^16), run one after another.  The max
-    is the same in any order."""
+    The top level (j = 0) shares its blocks between the caller and the
+    helper threads of `_map_blocks` when there are several of at most
+    _CHUNK elements each, one block per thread at a time.  Deeper levels,
+    and blocks larger than _CHUNK (whose overlap would raise the peak, as
+    on (2,)^16), run one after another.  The max is the same in any
+    order."""
     d = dims[j]
     flat = arr.reshape(d, -1)
     if j == len(dims) - 1:
@@ -522,12 +549,26 @@ def _random_signs(dims: tuple[int, ...], seeds: Sequence) -> np.ndarray:
     return np.where(set31, 1.0, -1.0).reshape(len(seeds), *dims)
 
 
+def _checked_seed(seed) -> int | tuple[int, ...]:
+    """`seed` as a Python int, or a nonempty sequence of seeds as a tuple
+    of them, each an integer >= 0 (`_checked_count`); else a ValueError
+    naming it.  The draw from a checked seed is the draw from `seed`."""
+    if not isinstance(seed, Sequence) or isinstance(seed, (str, bytes)):
+        return _checked_count("seed", seed, least=0)
+    if not seed:
+        raise ValueError(f"seed must be an integer >= 0 or a nonempty sequence of them, "
+                         f"got {seed!r}")
+    return tuple(_checked_count("seed", s, least=0) for s in seed)
+
+
 def random_sign_form(dims: Sequence[int], seed) -> MultilinearForm:
     """Deterministic form with i.i.d. coefficients in {-1, +1}: entry i
     (C order) is 2 * integers(0, 2, size=dims) - 1 of numpy's default
     generator seeded with `seed`, read off bit 31 of the halves of
-    PCG64(seed)'s raw words (`_random_signs`)."""
-    coeffs = _random_signs(_checked_dims(dims), [seed])[0]
+    PCG64(seed)'s raw words (`_random_signs`).  `seed` is an integer
+    >= 0 or a nonempty sequence of them; anything else, None included,
+    is a ValueError."""
+    coeffs = _random_signs(_checked_dims(dims), [_checked_seed(seed)])[0]
     return MultilinearForm(coeffs, label=f"random_sign{coeffs.shape}")
 
 

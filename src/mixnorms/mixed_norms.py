@@ -19,6 +19,7 @@ tuple, which meets it with equality, classifies as admissible.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -44,13 +45,15 @@ class ExponentTuple:
     blocks: tuple[tuple[int, float], ...]
 
     def __post_init__(self):
-        blocks = tuple((_checked_count("block size", n), float(q)) for n, q in self.blocks)
+        blocks = tuple((_checked_count("block size", n), q) for n, q in self.blocks)
         if not blocks:
             raise ValueError("an exponent tuple needs at least one block")
         for _, q in blocks:
+            if isinstance(q, bool) or not isinstance(q, numbers.Real):
+                raise ValueError(f"exponent must be a real number, got {q!r}")
             if not math.isfinite(q) or q < 1.0:
                 raise ValueError(f"exponent must be finite and >= 1, got {q}")
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple((n, float(q)) for n, q in blocks))
 
     @classmethod
     def unblocked(cls, exponents: Iterable[float]) -> "ExponentTuple":

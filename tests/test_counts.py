@@ -95,3 +95,34 @@ def test_count_messages_name_the_bound():
         bh_upper_bound(np.int64(100_001))
     with pytest.raises(ValueError, match="block size must be >= 1, got nan"):
         ExponentTuple(((math.nan, 2.0),))
+
+
+@pytest.mark.parametrize("seed", [0, 5, np.int64(5), np.uint64(2 ** 63), 2 ** 70, (7, 3), [7, 3],
+                                  (np.int32(7), 3), range(4)],
+                         ids=repr)
+def test_a_valid_seed_draws_the_generators_bits(seed):
+    # Sequences such as (7, k) seed the ascent's starts.
+    form = random_sign_form((3, 5), seed)
+    expected = 2.0 * np.random.default_rng(seed).integers(0, 2, size=(3, 5)) - 1.0
+    assert np.array_equal(form.coeffs, expected)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (None, "seed must be an integer >= 0, got None"),
+    (True, "seed must be an integer >= 0, got True"),
+    (2.5, "seed must be an integer >= 0, got 2.5"),
+    (-1, "seed must be >= 0, got -1"),
+    ("3", "seed must be an integer >= 0, got '3'"),
+    (b"\x01", "seed must be an integer >= 0, got b'\\x01'"),
+    ((), "seed must be an integer >= 0 or a nonempty sequence of them, got ()"),
+    ((7, -1), "seed must be >= 0, got -1"),
+    ((7, 1.0), "seed must be an integer >= 0, got 1.0"),
+    (((7, 1),), "seed must be an integer >= 0, got (7, 1)"),
+    (np.array([7, 1]), "seed must be an integer >= 0, got array"),
+], ids=repr)
+def test_a_malformed_seed_is_a_value_error_naming_it(bad, message):
+    # None once drew OS entropy, so the form changed from call to call;
+    # True acted as seed 1, and 2.5 and -1 leaked numpy's errors.
+    with pytest.raises(ValueError) as info:
+        random_sign_form((2, 2), bad)
+    assert str(info.value).startswith(message)

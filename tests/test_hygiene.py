@@ -4,8 +4,9 @@ every public module-level function or class is reached from outside its
 module, every private name that a docstring, comment or the README
 quotes in backticks is still defined, and numpy's random module appears
 only in the one sign-draw kernel, `forms._random_signs`.  Only the one
-thread pool, `forms._pool`, imports ``concurrent.futures``, and no module
-imports ``threading`` or ``multiprocessing``.  Only a short list of
+thread pool, `forms._pool`, imports ``concurrent.futures``, only
+`forms._map_blocks` calls it, and no module imports ``threading`` or
+``multiprocessing``.  Only a short list of
 definitions call the builtin ``int``: the count check
 `forms._checked_count`, the text parsers and one numpy-to-Python count,
 so no count is truncated silently.  The README's command block shows one
@@ -163,15 +164,15 @@ def import_homes(sources: dict[str, str], names: set[str]) -> list[str]:
     return sorted(homes)
 
 
-def int_callers(sources: dict[str, str]) -> list[str]:
+def callers(sources: dict[str, str], name: str) -> list[str]:
     """The innermost definitions of `sources` (``Class.method`` for a
-    method) that call the builtin ``int``, or the lines of calls outside any."""
+    method) that call the bare name `name`, or the lines of calls outside any."""
     homes = set()
 
     def visit(module: str, node: ast.AST, home: str) -> None:
         for child in ast.iter_child_nodes(node):
             if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
-                    and child.func.id == "int"):
+                    and child.func.id == name):
                 homes.add(f"{module}: {home or f'line {child.lineno}'}")
             inner = home
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -218,17 +219,18 @@ def test_few_int_calls():
     # A count is checked by `_checked_count`, never truncated by int();
     # only text parsers and numpy-to-Python counts call it.
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
-    assert int_callers(sources) == [
+    assert callers(sources, "int") == [
         "cli.py: _parse_ints", "forms.py: _ascent_sup", "forms.py: _checked_count",
         "mixed_norms.py: ExponentTuple.parse"]
 
 
 def test_one_thread_pool():
-    # Worker threads come from one lazily built pool; its import waits for
-    # the first block run on it.
+    # Helper threads come from one lazily built pool; its import waits for
+    # the first block run on it, and one function hands work to it.
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     names = {"concurrent.futures", "threading", "multiprocessing"}
     assert import_homes(sources, names) == ["forms.py: _pool: concurrent.futures"]
+    assert callers(sources, "_pool") == ["forms.py: _map_blocks"]
 
 
 def test_readme_command_block_lists_every_subcommand():
@@ -275,4 +277,8 @@ def test_checks_catch_what_they_are_for():
     sources = {"a.py": "def dims(n):\n    return (int(n),)\n\nclass T:\n    def parse(self, s):\n"
                        "        return [int(t) for t in s]\n\nWIDTH = int('3')\n",
                "b.py": "def f(x):\n    return isinstance(x, int) and x.int(2)\n"}
-    assert int_callers(sources) == ["a.py: T.parse", "a.py: dims", "a.py: line 8"]
+    assert callers(sources, "int") == ["a.py: T.parse", "a.py: dims", "a.py: line 8"]
+    sources = {"a.py": "def _pool():\n    return 1\n\nhook(_pool.cache_clear)\n\n"
+                       "def run():\n    def job():\n        return _pool()\n\n"
+                       "    return _pool().submit(job)\n"}
+    assert callers(sources, "_pool") == ["a.py: run", "a.py: run.job"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ def test_exponent_tuple_validation():
         ExponentTuple(((0, 2.0),))
     with pytest.raises(ValueError, match="exponent"):
         ExponentTuple(((1, math.inf),))
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, "2", None, 2 + 0j])
+def test_an_exponent_that_is_no_real_number_is_rejected(bad):
+    # True and "2" once passed through float() and printed as 1 and 2.
+    with pytest.raises(ValueError, match=re.escape(f"exponent must be a real number, got {bad!r}")):
+        ExponentTuple(((1, 1.0), (1, bad)))
+
+
+def test_numpy_exponents_act_as_floats():
+    e = ExponentTuple(((1, np.float32(1.5)), (2, np.int64(2)), (1, np.float64(1.25))))
+    assert e.blocks == ((1, 1.5), (2, 2.0), (1, 1.25))
+    assert all(type(q) is float for q in e.exponents)
 
 
 def test_parse_unblocked():

@@ -1,8 +1,9 @@
-"""The block worker pool of `forms._map_blocks`: its results equal the
-inline loop's bit for bit, it carries the caller's numpy error state, it
-re-raises a block's exception, only calls with several blocks of at most
-`_CHUNK` elements build it, a forked child gets a fresh one, and the
-memory bounds hold at its worker cap.
+"""The block map of `forms._map_blocks`, run by the caller and the helper
+threads of `forms._pool`: its results equal the inline loop's bit for bit,
+it carries the caller's numpy error state, it re-raises the lowest failing
+block's exception, it runs at most `_MAX_WORKERS` blocks at once, only
+calls with several blocks of at most `_CHUNK` elements build the pool, a
+forked child gets a fresh one, and the memory bounds hold at the cap.
 
 Every test patches the CPU count, so the pool runs on any host, and
 clears the pool around itself, so each builds its own."""
@@ -10,6 +11,7 @@ clears the pool around itself, so each builds its own."""
 import multiprocessing
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -79,14 +81,15 @@ def _n20_families():
 EXACT_DIMS = [(18, 18), (12, 12, 12), (5,) * 7]
 
 
-def test_blocks_equal_the_inline_loop_under_a_short_switch_interval(cpus):
+@pytest.mark.parametrize("n", [2, 8])
+def test_blocks_equal_the_inline_loop_under_a_short_switch_interval(cpus, n):
     cases = list(_n20_families())
     forms_ = [random_sign_form(dims, 4).coeffs for dims in EXACT_DIMS]
     cpus(1)
     inline = ([rademacher_average(*case) for case in cases],
               [_exact_sup(coeffs) for coeffs in forms_])
     assert _pool.cache_info().currsize == 0
-    cpus(8)
+    cpus(n)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -94,7 +97,7 @@ def test_blocks_equal_the_inline_loop_under_a_short_switch_interval(cpus):
                                            [_exact_sup(coeffs) for coeffs in forms_]))
     finally:
         sys.setswitchinterval(interval)
-    assert _pool()._max_workers == _MAX_WORKERS
+    assert _pool()._max_workers == min(n, _MAX_WORKERS) - 1
     assert pooled == inline
 
 
@@ -107,6 +110,50 @@ def test_a_raising_block_reraises_in_the_caller(cpus):
     with pytest.raises(ArithmeticError, match="block 3"):
         _within(TIMEOUT, _map_blocks, block, range(40))
     assert _within(TIMEOUT, _map_blocks, block, range(3)) == [0, 1, 2]
+
+
+def test_the_lowest_failing_block_reraises_though_a_later_one_fails_first(cpus):
+    # Block 0 fails only after block 2 has failed, and no thread takes a
+    # block after seeing a failure.
+    started, failed = [], threading.Event()
+
+    def block(x):
+        started.append(x)
+        if x == 0:
+            failed.wait(TIMEOUT)
+            raise ArithmeticError("block 0")
+        if x == 2:
+            failed.set()
+            raise ArithmeticError("block 2")
+        time.sleep(0.01)
+        return x
+
+    with pytest.raises(ArithmeticError, match="block 0"):
+        _within(TIMEOUT, _map_blocks, block, range(100))
+    assert {0, 1, 2} <= set(started) and len(started) < 100
+
+
+def test_the_caller_and_its_helpers_run_at_most_the_cap_at_once(cpus):
+    lock = threading.Lock()
+    running, most, threads = [0], [0], set()
+
+    def block(x):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+            threads.add(threading.get_ident())
+        time.sleep(0.002)
+        with lock:
+            running[0] -= 1
+        return x
+
+    def run():
+        return _map_blocks(block, range(200)), threading.get_ident()
+
+    results, caller = _within(TIMEOUT, run)
+    assert results == list(range(200))
+    assert most[0] <= _MAX_WORKERS
+    assert caller in threads and 1 < len(threads) <= _MAX_WORKERS
 
 
 def test_workers_carry_the_callers_error_state(cpus):
@@ -144,14 +191,15 @@ def test_the_sup_kernel_alone_builds_the_pool(cpus):
 
 
 def _child_average(conn):
-    conn.send(rademacher_average(np.ones((18, 2)), 1.5, 1.5))
+    average = rademacher_average(np.ones((18, 2)), 1.5, 1.5)
+    conn.send((average, any(thread.is_alive() for thread in _pool()._threads)))
     conn.close()
 
 
 def test_a_forked_child_builds_its_own_pool(cpus):
-    # Sixteen blocks leave the parent's pool with more idle credits than
-    # the child's four blocks need, so a pool inherited by the child would
-    # start no thread for them.
+    # Sixteen blocks leave the parent's pool with idle credits, so a pool
+    # inherited by the child would start no thread: the caller would run
+    # every block, and the pool would hold only the parent's dead threads.
     rademacher_average(np.ones((20, 2)), 1.5, 1.5)
     assert _pool.cache_info().currsize == 1
     expected = rademacher_average(np.ones((18, 2)), 1.5, 1.5)
@@ -162,7 +210,7 @@ def test_a_forked_child_builds_its_own_pool(cpus):
     child.close()
     try:
         assert parent.poll(TIMEOUT), "the forked child's average did not return"
-        assert parent.recv() == expected
+        assert parent.recv() == (expected, True)
         proc.join(TIMEOUT)
         assert not proc.is_alive() and proc.exitcode == 0
     finally:
