@@ -29,9 +29,13 @@ heuristic with a valid lower bound: 32 restarts from fixed random vertices,
 each step setting one slot's signs to those of its gradient when that
 changes a sign and raises the value; restart k's start is one
 `_random_signs` stream of seed (7, k), split across the slots.  Restarts
-advance in lockstep, one batched contraction per slot step, in groups whose
-temporaries stay within max(form size, 2^15) elements, each group on the
-budget left at its start; a restart that spent more than is left reruns.
+advance in lockstep, in groups whose temporaries stay within max(form size,
+2^15) elements, each group on the budget left at its start; a restart that
+spent more than is left reruns.  A slot step contracts the coefficients
+with the other slots' signs by batched matmuls over the group.  The first
+of them, the only one that costs the form's size per restart, contracts
+the largest other slot and is kept until that slot's signs change, so a
+sweep over the m slots makes at most two such products, not m.
 
 All user-facing I/O (the JSON form files) uses 1-based indices; the Python
 API is 0-based like the underlying arrays.  A form file may declare at
@@ -79,7 +83,8 @@ _MAX_WORKERS = 4
 MAX_FORM_ENTRIES = 2 ** 26
 
 #: Slots up to this support size read their sign vectors from a cached
-#: table (the largest is under 2 MiB); larger slots generate each block.
+#: table (the largest is under 2 MiB); larger slots copy each block in
+#: runs from the half-size table (`_sign_block`).
 _TABLE_BITS = 14
 
 
@@ -182,8 +187,24 @@ def _sign_vertices(d: int) -> np.ndarray:
 
 
 def _sign_block(d: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of `_sign_vertices(d)`, cached only up to _TABLE_BITS."""
-    return _sign_vertices(d)[start:stop] if d <= _TABLE_BITS else _sign_rows(d, start, stop)
+    """Rows start..stop-1 of `_sign_vertices(d)`, cached only up to _TABLE_BITS.
+
+    A larger slot's rows are copied in runs of at most 2^low rows, low =
+    _TABLE_BITS - 1, split at the multiples of 2^low: in each, the low
+    columns are a slice of the cached `_sign_vertices(low)` and the others
+    repeat the run's high bits.  A half-size table, so what such a slot
+    leaves cached stays below the largest table."""
+    if d <= _TABLE_BITS:
+        return _sign_vertices(d)[start:stop]
+    low = _TABLE_BITS - 1
+    table, size = _sign_vertices(low), 1 << low
+    out = np.empty((stop - start, d))
+    edges = [start, *range((start // size + 1) * size, stop, size), stop]
+    for a, b in zip(edges, edges[1:]):
+        high, i = divmod(a, size)
+        out[a - start:b - start, :low] = table[i:i + b - a]
+        out[a - start:b - start, low:] = _sign_rows(d - low, high, high + 1)
+    return out
 
 
 def _cpus() -> int:
@@ -341,9 +362,14 @@ def _ascent_starts(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
 class _Gradients:
     """Slot gradients of a batch of sign vertices of a form of degree >= 2:
     for every row, the coefficient tensor contracted with the row's signs
-    in every slot but one.  The largest other slot is contracted first, by
-    one matmul with a cached matrix layout of the coefficients; the rest one
-    slot at a time, last first, batched over the rows."""
+    in every slot but one.  The largest other slot f is contracted first,
+    by one matmul with a cached matrix layout of the coefficients
+    (`contract_first`), the only product that costs the form's size per
+    row; the rest one slot at a time, last first, by batched matmuls over
+    the rows.  The first product depends on slot f's signs alone, so the
+    caller keeps it in `firsts`, keyed by f, while those signs hold.  Every
+    slot but the largest takes the largest as f, and the largest takes the
+    runner-up, so there are two keys."""
 
     def __init__(self, coeffs: np.ndarray):
         self.dims = dims = coeffs.shape
@@ -357,20 +383,29 @@ class _Gradients:
         # Elements per row of the largest temporary, the first product.
         self.row_elements = max(m.shape[1] for m in self.mats.values())
 
-    def __call__(self, signs: list[np.ndarray], slot: int) -> np.ndarray:
+    def contract_first(self, signs: list[np.ndarray], f: int) -> np.ndarray:
+        """The coefficients contracted with every row's signs in slot f."""
+        return signs[f] @ self.mats[f]
+
+    def __call__(self, signs: list[np.ndarray], slot: int,
+                 firsts: dict[int, np.ndarray]) -> np.ndarray:
+        """The rows' gradients in `slot`, with the first product read from
+        or added to `firsts`.  On a bilinear form the gradient is a view of
+        that product, so the caller must not write into it."""
         dims = self.dims
         n = signs[0].shape[0]
         f = self.first[slot]
-        arr = signs[f] @ self.mats[f]
-        axes = [j for j in range(len(dims)) if j != f]
-        for j in reversed(axes):
-            if j == slot:
+        if f not in firsts:
+            firsts[f] = self.contract_first(signs, f)
+        arr = firsts[f]
+        for j in reversed(range(len(dims))):
+            # Slots after j are contracted already, except `slot` itself.
+            if j == slot or j == f:
                 continue
-            p = axes.index(j)
-            inner = math.prod(dims[i] for i in axes[p + 1:])
-            arr = arr.reshape(n, -1, dims[j], inner)
-            arr = np.einsum("axjy,aj->axy", arr, signs[j])
-            axes.pop(p)
+            if j > slot:  # j is the last axis: one matrix-vector product per row
+                arr = arr.reshape(n, -1, dims[j]) @ signs[j][:, :, None]
+            else:
+                arr = signs[j][:, None, None, :] @ arr.reshape(n, -1, dims[j], dims[slot])
         return arr.reshape(n, dims[slot])
 
 
@@ -387,34 +422,49 @@ def _lockstep_ascent(grads: _Gradients, starts: list[np.ndarray],
     value.  Under a cap c a row takes the same steps as under any larger
     cap until a step would pass c, so a row that spends s evaluations
     returns the same value and count under every cap from s up.
+
+    The running rows take the same steps, so they share one count,
+    `spent`, written to a row's entry when it stops; the cap stops them all
+    before the same step.  Each first product of `grads` is kept, for the
+    rows still running, until a row accepts a step in its slot: each of
+    the two is dropped at most once a sweep, so a sweep computes at most
+    two, plus the start's one.
     """
     dims = grads.dims
     signs = [s.astype(float) for s in starts]
     rows = np.arange(len(signs[0]))  # the running rows
-    grad = grads(signs, 0)
-    value = np.abs(np.einsum("ad,ad->a", signs[0], grad))
-    evals = np.ones(rows.size, dtype=np.int64)
+    evals = np.empty(rows.size, dtype=np.int64)
+    value = np.empty(rows.size)
+    firsts = {}
+    grad = grads(signs, 0, firsts)
+    cur = np.abs(np.einsum("ad,ad->a", signs[0], grad))  # the running rows' values
+    spent = 1
     while rows.size:
         improved = np.zeros(rows.size, dtype=bool)
         for slot, d in enumerate(dims):
-            fits = evals[rows] + d <= cap
-            if not fits.all():
-                signs = [s[fits] for s in signs]
-                rows, improved, grad = rows[fits], improved[fits], None
-                if not rows.size:
-                    break
+            if spent + d > cap:  # every running row stops before this step
+                improved[:] = False
+                break
             if grad is None:
-                grad = grads(signs, slot)
+                grad = grads(signs, slot, firsts)
             flip = grad * signs[slot] < 0
             new_value = np.abs(grad).sum(axis=1)  # the value at the gradient's signs
-            accept = (new_value > value[rows]) & flip.any(axis=1)
-            signs[slot] = np.where(flip & accept[:, None], -signs[slot], signs[slot])
-            value[rows[accept]] = new_value[accept]
-            evals[rows] += d
-            improved |= accept
+            accept = (new_value > cur) & flip.any(axis=1)
+            spent += d
             grad = None
-        signs = [s[improved] for s in signs]
-        rows = rows[improved]
+            if accept.any():
+                flip &= accept[:, None]
+                np.negative(signs[slot], out=signs[slot], where=flip)
+                np.copyto(cur, new_value, where=accept)
+                improved |= accept
+                firsts.pop(slot, None)
+        if not improved.all():
+            stopped = ~improved
+            evals[rows[stopped]] = spent
+            value[rows[stopped]] = cur[stopped]
+            signs = [s[improved] for s in signs]
+            firsts = {f: p[improved] for f, p in firsts.items()}
+            rows, cur = rows[improved], cur[improved]
     return evals, value
 
 
@@ -423,7 +473,8 @@ def _ascent_sup(coeffs: np.ndarray, budget: int) -> tuple[float, int]:
     degree >= 2, restart k getting whatever budget restarts 0..k-1 left, as
     if run one after another.  Each group, small enough that no temporary
     exceeds max(coeffs.size, _CHUNK) elements, runs in lockstep on the
-    budget left at its start.  Charged in restart order, a restart that
+    budget left at its start, and keeps at most two first products of
+    `_Gradients` while it runs.  Charged in restart order, a restart that
     spent more than the rest reruns alone on it, exact by the ascent's caps."""
     grads = _Gradients(coeffs)
     starts = _ascent_starts(coeffs.shape)
@@ -456,9 +507,10 @@ def sup_norm(form: MultilinearForm, budget: int = DEFAULT_SUP_BUDGET) -> SupNorm
     from fixed random vertices return a deterministic lower bound flagged
     exact=False, with at most `budget` evaluations.  They share the budget
     as if run one after another (restart k gets what the earlier ones left)
-    but advance in lockstep, one batched contraction per slot step
-    (`_ascent_sup`); `evaluations` counts d per step on a slot of size d,
-    plus one per start vertex.
+    but advance in lockstep, batched over the restarts, and a sweep makes
+    at most two contractions that cost the form's size per restart, not
+    one per slot (`_ascent_sup`); `evaluations` counts d per step on a slot
+    of size d, plus one per start vertex.
     """
     budget = _checked_count("budget", budget)
     if _exact_work_fits(form.dims, max(budget, form.coeffs.size)):

@@ -51,7 +51,11 @@ class ExponentTuple:
         for _, q in blocks:
             if isinstance(q, bool) or not isinstance(q, numbers.Real):
                 raise ValueError(f"exponent must be a real number, got {q!r}")
-            if not math.isfinite(q) or q < 1.0:
+            try:
+                finite = math.isfinite(q)
+            except OverflowError:  # an integer beyond float64
+                raise ValueError(f"exponent must fit in a float64, got {q}") from None
+            if not finite or q < 1.0:
                 raise ValueError(f"exponent must be finite and >= 1, got {q}")
         object.__setattr__(self, "blocks", tuple((n, float(q)) for n, q in blocks))
 

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -245,6 +246,32 @@ def test_sup_norm_heuristic_memory_is_bounded_by_the_form():
     assert peak < 4 * form.coeffs.nbytes
 
 
+def test_ascent_makes_two_first_contractions_per_sweep():
+    # Slots 1-3 contract slot 0 first, and that product holds from slot 1's
+    # step to slot 0's next; slot 0 contracts slot 1 first.  Without the
+    # cache a sweep would make four, one per step.
+    dims = (6, 6, 6, 6)
+    firsts, groups = [], []
+    contract, lockstep = forms._Gradients.contract_first, forms._lockstep_ascent
+
+    def counted(self, signs, f):
+        firsts.append(f)
+        return contract(self, signs, f)
+
+    def spy(grads, starts, cap):
+        evals, values = lockstep(grads, starts, cap)
+        groups.append(evals)
+        return evals, values
+
+    with mock.patch.object(forms._Gradients, "contract_first", counted), \
+            mock.patch.object(forms, "_lockstep_ascent", spy):
+        forms._ascent_sup(random_sign_form(dims, 0).coeffs, 10 ** 9)
+    (evals,) = groups  # one group, and no restart reruns
+    sweeps = (int(evals.max()) - 1) // sum(dims)  # the longest restart's
+    assert sweeps >= 3
+    assert len(firsts) <= 2 * sweeps + 1
+
+
 def test_sup_norm_exact_dominates_random_cube_points():
     rng = np.random.default_rng(9)
     form = random_sign_form((3, 3), 1)
@@ -336,6 +363,18 @@ def test_sup_norm_exact_memory_does_not_grow_with_budget():
         x = np.where((idx[:, None] >> np.arange(20)) & 1, -1.0, 1.0)
         expected = max(expected, float(np.abs(x @ form.coeffs).sum(axis=1).max()))
     assert res.value == expected
+
+
+@pytest.mark.parametrize("d, start, stop", [
+    (15, 0, 2 ** 15),
+    (16, 2 ** 14 - 9, 2 ** 15 + 2 ** 13 + 9),
+    (21, 2 ** 21 - 2 ** 14 - 3, 2 ** 21),
+    (30, 2 ** 30 - 3 * 2 ** 13 - 1, 2 ** 30),
+    (30, 5 * 2 ** 14, 5 * 2 ** 14),
+])
+def test_sign_blocks_past_the_table_equal_the_generated_rows(d, start, stop):
+    # Ranges across the runs' boundaries, at multiples of 2^13, and to the table's end.
+    assert np.array_equal(forms._sign_block(d, start, stop), forms._sign_rows(d, start, stop))
 
 
 def test_slot_permutation_preserves_sup():

@@ -55,6 +55,16 @@ def test_an_exponent_that_is_no_real_number_is_rejected(bad):
         ExponentTuple(((1, 1.0), (1, bad)))
 
 
+@pytest.mark.parametrize("blocks", [((1, 10 ** 400), (1, 2)), ((1, 2), (1, 10 ** 400)),
+                                    ((1, 2), (2, -10 ** 400))],
+                         ids=["outer", "inner", "negative"])
+def test_an_exponent_beyond_float64_is_rejected(blocks):
+    # math.isfinite once let an OverflowError out for such an integer.
+    q = max(blocks, key=lambda b: abs(b[1]))[1]
+    with pytest.raises(ValueError, match=re.escape(f"exponent must fit in a float64, got {q}")):
+        ExponentTuple(blocks)
+
+
 def test_numpy_exponents_act_as_floats():
     e = ExponentTuple(((1, np.float32(1.5)), (2, np.int64(2)), (1, np.float64(1.25))))
     assert e.blocks == ((1, 1.5), (2, 2.0), (1, 1.25))

@@ -147,8 +147,16 @@ def test_heuristic_sup_matches_sequential_restarts(dims, seed, integer, share):
        integer=st.booleans(), budget=st.integers(1, 10 ** 6))
 @example(dims=[7, 1, 7, 1], seed=4, integer=True, budget=10 ** 6)
 @example(dims=[7, 7, 7, 7], seed=5, integer=False, budget=10 ** 6)
+@example(dims=[3, 7, 3, 5], seed=6, integer=True, budget=10 ** 6)
+@example(dims=[2, 6, 6, 1], seed=7, integer=True, budget=10 ** 6)
+@example(dims=[3, 2, 4, 3, 2], seed=8, integer=True, budget=10 ** 6)
+@example(dims=[3, 7, 3, 5], seed=9, integer=True, budget=1 + 18 + 3 + 7 + 1)
+@example(dims=[2, 6, 6, 1], seed=10, integer=True, budget=1 + 2 * 15 + 2)
+@example(dims=[3, 2, 4, 3, 2], seed=11, integer=True, budget=1 + 14 + 3 + 2 + 4 + 3)
 def test_lockstep_ascent_matches_sequential_restarts(dims, seed, integer, budget):
-    # The ascent itself, past the exact-sup dispatch: budgets can let every restart converge.
+    # The ascent itself, past the exact-sup dispatch: budgets can let every
+    # restart converge, or stop a group mid-sweep.  The largest slot need
+    # not come first, so the cached first products change at other steps.
     coeffs = _coeffs(dims, seed, integer)
     got = _ascent_sup(coeffs, budget)
     value, evaluations = sequential_ascent_sup(coeffs, budget)
@@ -362,7 +370,7 @@ def _single(n):
 
 def test_move_scores_match_on_generated_sign_rows():
     # (15, 15) enumerates a slot past _TABLE_BITS, whose sign rows are
-    # generated rather than cached.  The diagonal entries meet every
+    # copied in runs rather than sliced from one cached table.  The diagonal entries meet every
     # coordinate of both slots; scoring each move of all 225 entries
     # against sub-ranges, as the property above does, takes seconds.
     dims, exps = (15, 15), ExponentTuple.parse("1,2")

@@ -275,8 +275,9 @@ def test_optimize_memory_on_many_small_slots():
 
 
 def test_optimize_caches_no_sign_table_past_the_table_bits():
-    # slots past _TABLE_BITS generate their sign rows, so a (16, 16) search
-    # leaves no 2^15-row table (4 MiB) in `_sign_vertices`'s cache
+    # slots past _TABLE_BITS copy their sign rows from the half-size table,
+    # so a (16, 16) search leaves no 2^15-row table (4 MiB) in
+    # `_sign_vertices`'s cache, and not the 2^14-row one either
     forms._sign_vertices.cache_clear()
     tracemalloc.start()
     try:
