@@ -12,18 +12,14 @@ other slot.  So the exact sup norm takes the largest slot in closed form
 and enumerates the sign vectors of the others, with one sign of each
 fixed, since flipping one argument only flips the sign of the value.  A
 degree-m form needs 2^(sum(dims) - max(dims) - m + 1) sign combinations,
-contracted in blocks of bounded size, and each one's closed-form l1 norm
-adds up max(dims) absolute values.  The first enumerated slot's blocks
-are independent: when there are several of at most `_CHUNK` elements,
-the calling thread and up to `_MAX_WORKERS` - 1 helper threads, one per
-further CPU the process may use, each take the next block until none is
-left (`_map_blocks`, shared with `cotype.rademacher_average`), with the
-same result bit for bit.  The exact value is used whenever that
-work fits the evaluation budget or the form's size, which the work equals
-when no enumerated slot has more than two entries.  Together the patterns
-and the closed form cover every vertex, so ``exact`` means that every
-vertex is covered, and ``evaluations`` counts the full grid of 2^sum(dims)
-vertices, which can exceed the budget.  The rest, of degree >= 2 with an
+contracted in blocks of bounded size on the calling thread, and each
+one's closed-form l1 norm adds up max(dims) absolute values.  The exact
+value is used whenever that work fits the evaluation budget or the
+form's size, which the work equals when no enumerated slot has more than
+two entries.  Together the patterns and the closed form cover every
+vertex, so ``exact`` means that every vertex is covered, and
+``evaluations`` counts the full grid of 2^sum(dims) vertices, which can
+exceed the budget.  The rest, of degree >= 2 with an
 enumerated slot of size >= 3, fall back to an alternating coordinate-ascent
 heuristic with a valid lower bound: 32 restarts from fixed random vertices,
 each step setting one slot's signs to those of its gradient when that
@@ -68,8 +64,8 @@ _ASCENT_SEED = 7  # fixed internal seed: sup_norm must be deterministic
 
 #: Elements per contracted block in the exact sup norm and per buffer of
 #: `cotype.rademacher_average`.  Peak memory of the exact path is a few
-#: blocks per thread of `_map_blocks` or the form's own size, whichever is
-#: larger; it does not grow with the number of sign vertices or the budget.
+#: blocks or the form's own size, whichever is larger; it does not grow
+#: with the number of sign vertices or the budget.
 _CHUNK = 1 << 15
 
 #: Most threads of `_map_blocks`, the caller's included, whatever the
@@ -282,14 +278,8 @@ def _max_l1(arr: np.ndarray, dims: tuple[int, ...], j: int) -> float:
     last slot, for `arr` of shape (dims[j], ..., dims[-1], P) holding P
     partial contractions (overwritten when j = m-1).  Each slot runs over
     the half of its table whose last sign is +1: flipping a whole slot
-    only flips the contracted vector, which keeps its l1 norm.
-
-    The top level (j = 0) shares its blocks between the caller and the
-    helper threads of `_map_blocks` when there are several of at most
-    _CHUNK elements each, one block per thread at a time.  Deeper levels,
-    and blocks larger than _CHUNK (whose overlap would raise the peak, as
-    on (2,)^16), run one after another.  The max is the same in any
-    order."""
+    only flips the contracted vector, which keeps its l1 norm.  Every
+    level runs its blocks one after another on the calling thread."""
     d = dims[j]
     flat = arr.reshape(d, -1)
     if j == len(dims) - 1:
@@ -303,8 +293,7 @@ def _max_l1(arr: np.ndarray, dims: tuple[int, ...], j: int) -> float:
         # and collects the sign rows at the back.
         return _max_l1(flat.T @ _sign_block(d, start, min(n, start + step)).T, dims, j + 1)
 
-    starts = range(0, n, step)
-    return max(_map_blocks(block, starts) if j == 0 and step > 1 else map(block, starts))
+    return max(map(block, range(0, n, step)))
 
 
 def _pattern_exponent(dims: Sequence[int]) -> int:
@@ -410,7 +399,7 @@ class _Gradients:
 
 
 def _lockstep_ascent(grads: _Gradients, starts: list[np.ndarray],
-                     cap: int) -> tuple[np.ndarray, np.ndarray]:
+                     cap: int) -> tuple[list[int], list[float]]:
     """Alternating sign ascent from every row of `starts` at once.
 
     Per slot, the optimal signs given the others are the signs of the
@@ -419,9 +408,10 @@ def _lockstep_ascent(grads: _Gradients, starts: list[np.ndarray],
     recomputes the same vertex, up to rounding), and a row stops after a sweep
     over all slots with no accepted step, or before a step that would take
     its evaluations past `cap`.  Returns each row's final evaluations and
-    value.  Under a cap c a row takes the same steps as under any larger
-    cap until a step would pass c, so a row that spends s evaluations
-    returns the same value and count under every cap from s up.
+    value, as lists of Python numbers.  Under a cap c a row takes the same
+    steps as under any larger cap until a step would pass c, so a row that
+    spends s evaluations returns the same value and count under every cap
+    from s up.
 
     The running rows take the same steps, so they share one count,
     `spent`, written to a row's entry when it stops; the cap stops them all
@@ -465,7 +455,7 @@ def _lockstep_ascent(grads: _Gradients, starts: list[np.ndarray],
             signs = [s[improved] for s in signs]
             firsts = {f: p[improved] for f, p in firsts.items()}
             rows, cur = rows[improved], cur[improved]
-    return evals, value
+    return evals.tolist(), value.tolist()
 
 
 def _ascent_sup(coeffs: np.ndarray, budget: int) -> tuple[float, int]:
@@ -484,14 +474,14 @@ def _ascent_sup(coeffs: np.ndarray, budget: int) -> tuple[float, int]:
         if used >= budget:
             break
         evals, values = _lockstep_ascent(grads, [s[lo:lo + group] for s in starts], budget - used)
-        for k, spent, value in zip(range(lo, ASCENT_RESTARTS), evals.tolist(), values.tolist()):
+        for k, spent, value in zip(range(lo, ASCENT_RESTARTS), evals, values):
             if used >= budget:
                 break
             if spent > budget - used:
                 (spent,), (value,) = _lockstep_ascent(grads, [s[[k]] for s in starts],
                                                       budget - used)
-            used += int(spent)
-            best = max(best, float(value))
+            used += spent
+            best = max(best, value)
     return best, used
 
 

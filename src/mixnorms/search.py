@@ -4,9 +4,11 @@ A single form certifies a lower bound on the optimal constant of a mixed
 norm inequality: mixed_norm(T, e) <= C * sup_norm(T) for every form T, so
 the ratio of one concrete T is a machine-checkable bound from below.  The
 certificate is rigorous (up to rounding) only when the sup norm came from
-the exact kernel, so the optimizer admits exactly the dims on which
-`sup_norm` is exact at the default budget, and refuses the others rather
-than silently degrading.
+the exact kernel, so the optimizer admits only dims whose exact sup-norm
+work W fits the default budget, on which `sup_norm` is exact, and refuses
+the others rather than silently degrading.  That refuses some exact dims
+too: `sup_norm` is also exact where W equals the form's size past the
+budget, as on (2,)^23, but the optimizer's memory grows as 8W bytes.
 
 The optimizer hill-climbs over coefficient tensors with entries in
 {-1, 0, +1} - the alphabet the known extremal forms live in, and one that
@@ -215,8 +217,10 @@ class _Moves:
         return list(map(self.ratio, row_l1.max(axis=1).tolist(), self._levels(inner).tolist()))
 
     def ratio_of(self, coeffs: np.ndarray) -> float:
-        """mixed/sup ratio of a real tensor on these dims."""
-        return self.ratios(self.start(coeffs[None]))[0]
+        """mixed/sup ratio of a real tensor on these dims, or -inf where it
+        overflows, as for the zero tensor, so no move to it is accepted."""
+        ratio = self.ratios(self.start(coeffs[None]))[0]
+        return ratio if math.isfinite(ratio) else -math.inf
 
     def score(self, flats: np.ndarray, state, rows: np.ndarray,
               entries: np.ndarray) -> tuple[list, list]:
@@ -432,8 +436,10 @@ def optimize_ratio(
     restart, or, with `refine`, is one restart.  A group of several
     restarts scores at most a quarter of `_Moves.block` entries per step.
 
-    Dims are admitted iff `sup_norm` is exact on them at the default
-    budget (`_exact_work_fits`).  The budget counts evaluations, not work:
+    Dims are admitted iff the exact sup-norm work W fits the default budget
+    (`_exact_work_fits`), so `sup_norm` is exact on them.  It is exact on
+    some refused dims too, where W is the form's size past that budget, as
+    on (2,)^23.  The budget counts evaluations, not work:
     each scores a move against W / max(dims) sign rows, W being that exact
     work.  Peak memory is c * 8W bytes plus a few `_CHUNK` blocks, with c
     about 4 where W is much larger than the number N of entries, and 11.8
@@ -455,7 +461,8 @@ def optimize_ratio(
                          "are affordable")
     moves = _Moves(dims, exps)
     # Every +-1 start has the mixed norm of the all-ones tensor, the largest
-    # of any tensor the search visits; if it overflows, so does every run.
+    # of any tensor the climbs visit; if it overflows, so does every climb.
+    # The polish goes past it, and `ratio_of` scores an overflow as -inf.
     with np.errstate(over="ignore"):
         top = moves.ratio_of(np.ones(dims))
     if math.isinf(top):
@@ -500,7 +507,9 @@ def optimize_ratio(
             used += spent
             coeffs = np.frombuffer(final, dtype=np.int8).reshape(dims)
             if refine and used < budget:
-                coeffs, ratio, spent = _refine(coeffs.astype(float), moves.ratio_of, budget - used)
+                with np.errstate(over="ignore"):
+                    coeffs, ratio, spent = _refine(coeffs.astype(float), moves.ratio_of,
+                                                   budget - used)
                 used += spent
             key = (ratio, seed + k)
             if best_key is None or key > best_key:

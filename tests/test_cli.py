@@ -284,11 +284,22 @@ def test_nan_or_overflow_is_domain_error(capsys, argv, message):
 
 
 def test_optimize_overflowing_tuple_is_rejected_up_front(capsys):
-    # Every candidate's norm overflows: one error line, no RuntimeWarning.
+    # The all-ones start's norm overflows, and so does every climb's: one
+    # error line, no RuntimeWarning.
     assert main(["optimize", "--dims", "2,2", "--exps", "2000,1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: mixed norm under 2000,1 overflows float64\n"
+
+
+def test_optimize_refine_passes_over_overflowing_trial_points(capsys):
+    # The polish tries entries up to 1.5, past the all-ones tensor whose
+    # norm the search checks up front; under 1000,1 their norms overflow.
+    argv = ["optimize", "--dims", "2,2", "--exps", "1000,1", "--budget", "2000"]
+    assert main(argv + ["--refine"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "ratio = 1.00069338746" in captured.out
 
 
 def test_certify_overflowing_tuple_prints_only_the_error_line(capsys):

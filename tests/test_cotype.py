@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from mixnorms import (
     triple221,
 )
 
+from _fresh import fresh_peak
 from _oracles import brute_rademacher, half_rademacher
 
 SQRT2 = math.sqrt(2.0)
@@ -90,14 +90,9 @@ def test_split_sums_match_chunked_half_enumeration(n, d, r, s):
     )
 
 
-def test_average_memory_is_bounded_at_the_cap():
+def test_average_memory_is_bounded_at_the_cap(workers=None):
     vectors = np.random.default_rng(24).standard_normal((24, 2))
-    tracemalloc.start()
-    try:
-        value = rademacher_average(vectors, 1.5, 1.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    value, peak = fresh_peak(rademacher_average, vectors, 1.5, 1.5, workers=workers)
     assert math.isfinite(value) and value > 0.0
     assert peak < 4 * 2 ** 20
 

@@ -24,6 +24,7 @@ from mixnorms import (
 from mixnorms import forms
 from mixnorms.forms import ASCENT_RESTARTS, MAX_FORM_ENTRIES, _ascent_starts
 
+from _fresh import fresh_peak
 from _oracles import brute_eval, brute_sup
 
 
@@ -236,12 +237,7 @@ def test_sup_norm_heuristic_leaves_coefficients_alone():
 def test_sup_norm_heuristic_memory_is_bounded_by_the_form():
     # A small slot: contracting it first would build a 32-fold copy.
     form = random_sign_form((200, 200, 2), 3)
-    tracemalloc.start()
-    try:
-        res = sup_norm(form)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = fresh_peak(sup_norm, form)
     assert not res.exact
     assert peak < 4 * form.coeffs.nbytes
 
@@ -267,7 +263,7 @@ def test_ascent_makes_two_first_contractions_per_sweep():
             mock.patch.object(forms, "_lockstep_ascent", spy):
         forms._ascent_sup(random_sign_form(dims, 0).coeffs, 10 ** 9)
     (evals,) = groups  # one group, and no restart reruns
-    sweeps = (int(evals.max()) - 1) // sum(dims)  # the longest restart's
+    sweeps = (max(evals) - 1) // sum(dims)  # the longest restart's
     assert sweeps >= 3
     assert len(firsts) <= 2 * sweeps + 1
 
@@ -311,12 +307,7 @@ def test_sup_norm_exact_on_a_degree_one_form_past_the_budget():
     # A degree-1 form's exact work is its size, which any heuristic reading
     # every entry already spends; the l1 norm takes one temporary that size.
     form = random_sign_form((2 ** 20 + 2,), 0)
-    tracemalloc.start()
-    try:
-        res = sup_norm(form, 2 ** 20)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = fresh_peak(sup_norm, form, 2 ** 20)
     assert res.exact
     assert res.value == 1_048_578.0
     assert res.evaluations == 2 ** (2 ** 20 + 2)
@@ -347,12 +338,7 @@ def test_sup_norm_rejects_a_non_finite_budget(budget, match):
 def test_sup_norm_exact_memory_does_not_grow_with_budget():
     # 2^40 sign vertices, whose full grid would take 8 TiB of values.
     form = random_sign_form((20, 20), 0)
-    tracemalloc.start()
-    try:
-        res = sup_norm(form, budget=2 ** 40)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = fresh_peak(sup_norm, form, budget=2 ** 40)
     assert res.exact
     assert res.evaluations == 2 ** 40
     assert peak < 64 * 2 ** 20

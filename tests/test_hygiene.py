@@ -5,11 +5,11 @@ module, every private name that a docstring, comment or the README
 quotes in backticks is still defined, and numpy's random module appears
 only in the one sign-draw kernel, `forms._random_signs`.  Only the one
 thread pool, `forms._pool`, imports ``concurrent.futures``, only
-`forms._map_blocks` calls it, and no module imports ``threading`` or
-``multiprocessing``.  Only a short list of
-definitions call the builtin ``int``: the count check
-`forms._checked_count`, the text parsers and one numpy-to-Python count,
-so no count is truncated silently.  The README's command block shows one
+`forms._map_blocks` calls it, only `cotype.rademacher_average` calls
+that, and no module imports ``threading`` or ``multiprocessing``.  Only a
+short list of definitions call the builtin ``int``: the count check
+`forms._checked_count` and the text parsers, so no count is truncated
+silently.  The README's command block shows one
 ``mixnorms <name>`` line per subcommand in `cli._COMMANDS`, in the
 table's order.
 
@@ -217,20 +217,21 @@ def test_one_random_draw():
 
 def test_few_int_calls():
     # A count is checked by `_checked_count`, never truncated by int();
-    # only text parsers and numpy-to-Python counts call it.
+    # only text parsers call it.
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     assert callers(sources, "int") == [
-        "cli.py: _parse_ints", "forms.py: _ascent_sup", "forms.py: _checked_count",
-        "mixed_norms.py: ExponentTuple.parse"]
+        "cli.py: _parse_ints", "forms.py: _checked_count", "mixed_norms.py: ExponentTuple.parse"]
 
 
 def test_one_thread_pool():
     # Helper threads come from one lazily built pool; its import waits for
-    # the first block run on it, and one function hands work to it.
+    # the first block run on it, one function hands work to it, and only
+    # the Rademacher average calls that function.
     sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
     names = {"concurrent.futures", "threading", "multiprocessing"}
     assert import_homes(sources, names) == ["forms.py: _pool: concurrent.futures"]
     assert callers(sources, "_pool") == ["forms.py: _map_blocks"]
+    assert callers(sources, "_map_blocks") == ["cotype.py: rademacher_average"]
 
 
 def test_readme_command_block_lists_every_subcommand():

@@ -3,6 +3,8 @@ import json
 import math
 import signal
 import tracemalloc
+import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -25,8 +27,10 @@ from mixnorms import (
     sup_norm,
     triple221,
 )
+from mixnorms.forms import SupNormResult
 from mixnorms.search import _refine
 
+from _fresh import fresh_peak
 from _oracles import reference_ratio
 
 SQRT2 = math.sqrt(2.0)
@@ -186,6 +190,19 @@ def test_optimize_admits_the_largest_exact_dims():
     assert cert.sup_exact
 
 
+def test_optimize_refuses_dims_exact_only_at_their_own_size():
+    # On (2,)^23 the exact work W = 2^22 * 2 terms equals the form's size, so
+    # `sup_norm` is exact at the default budget; the optimizer, whose memory
+    # is c * 8W bytes, admits only a W within that budget.  A zero-stride
+    # array stands in for the form, so neither builds 2^23 entries.
+    dims = (2,) * 23
+    form = SimpleNamespace(dims=dims, coeffs=np.broadcast_to(1.0, dims))
+    with mock.patch.object(forms, "_exact_sup", lambda coeffs: 23.0):
+        assert sup_norm(form) == SupNormResult(23.0, True, 2 ** 46)
+    with pytest.raises(ValueError, match=r"need 2\^22 \* 2 terms"):
+        optimize_ratio(dims, ExponentTuple.parse(",".join(["2"] * 23)), seed=0)
+
+
 @pytest.mark.parametrize("dims, exps", [((20000, 30), "1,2"), ((10 ** 12,), "1")])
 def test_optimize_rejects_astronomical_dims_at_once(dims, exps):
     # Rejected before anything of the dims' size is built: the check reads
@@ -246,30 +263,22 @@ def test_optimize_memory_stays_bounded_on_the_largest_dims(dims, exps):
     # (4.2 and 3.7 times 8W bytes when measured; a sign column copied per
     # entry makes it 20 times at (16, 16))
     work = max(dims) << (sum(dims) - max(dims) - len(dims) + 1)
-    tracemalloc.start()
-    try:
-        cert = optimize_ratio(dims, ExponentTuple.parse(exps), budget=20, seed=1, restarts=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cert, peak = fresh_peak(optimize_ratio, dims, ExponentTuple.parse(exps), budget=20, seed=1,
+                            restarts=1)
     assert cert.sup_exact
     assert peak < 5 * 8 * work
 
 
-def test_optimize_memory_on_many_small_slots():
+def test_optimize_memory_on_many_small_slots(workers=None):
     # (2,)^16 has as many entries N as the exact kernel's work W, so the
     # per-entry arrays dominate.  The peak is inside the final `certify`,
     # 11.8 times 8W bytes once the search's model, starts and memo are
     # released; the bound leaves a margin of about 6%.
     dims = (2,) * 16
     work = 2 ** 16
-    tracemalloc.start()
-    try:
-        cert = optimize_ratio(dims, ExponentTuple.parse(",".join(["1"] + ["2"] * 15)),
-                              budget=20, seed=1, restarts=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    exps = ExponentTuple.parse(",".join(["1"] + ["2"] * 15))
+    cert, peak = fresh_peak(optimize_ratio, dims, exps, budget=20, seed=1, restarts=1,
+                            workers=workers)
     assert cert.sup_exact
     assert peak < 12.5 * 8 * work
 
@@ -342,6 +351,18 @@ def test_optimize_refine_does_not_hurt():
     plain = optimize_ratio((2, 2), exps, budget=2_000, seed=1, restarts=2)
     polished = optimize_ratio((2, 2), exps, budget=4_000, seed=1, restarts=2, refine=True)
     assert polished.ratio >= plain.ratio - 1e-12
+
+
+def test_optimize_refine_skips_tensors_whose_norm_overflows():
+    # The all-ones norm under 1000,1 is finite, but the polish tries entries
+    # up to 1.5, whose 1000th powers overflow; those score -inf, silently.
+    exps = ExponentTuple.parse("1000,1")
+    plain = optimize_ratio((2, 2), exps, budget=2_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        polished = optimize_ratio((2, 2), exps, budget=2_000, refine=True)
+    assert polished.sup_exact
+    assert polished.ratio >= plain.ratio == 1.0006933874625807
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """The block map of `forms._map_blocks`, run by the caller and the helper
-threads of `forms._pool`: its results equal the inline loop's bit for bit,
-it carries the caller's numpy error state, it re-raises the lowest failing
-block's exception, it runs at most `_MAX_WORKERS` blocks at once, only
-calls with several blocks of at most `_CHUNK` elements build the pool, a
-forked child gets a fresh one, and the memory bounds hold at the cap.
+threads of `forms._pool` for `cotype.rademacher_average`: its results
+equal the inline loop's bit for bit, it carries the caller's numpy error
+state, it re-raises the lowest failing block's exception, it runs at most
+`_MAX_WORKERS` blocks at once, only averages with several blocks build the
+pool and the exact sup kernel never does, a forked child gets a fresh one,
+and the memory bounds hold at the cap.
 
-Every test patches the CPU count, so the pool runs on any host, and
-clears the pool around itself, so each builds its own."""
+Every test patches the CPU count, so the pool runs on any host.  Those
+that run in this process clear the pool around themselves, so each builds
+its own; the memory bounds are measured in a spawned process."""
 
 import multiprocessing
 import sys
@@ -30,7 +32,6 @@ from mixnorms import forms
 from mixnorms.forms import _MAX_WORKERS, _exact_sup, _map_blocks, _pool
 
 from test_cotype import test_average_memory_is_bounded_at_the_cap as average_memory
-from test_forms import test_sup_norm_exact_memory_does_not_grow_with_budget as exact_memory
 from test_search import test_optimize_memory_on_many_small_slots as optimize_memory
 
 #: Seconds any one wait of these tests may take.
@@ -78,23 +79,17 @@ def _n20_families():
             yield rng.standard_normal((20, 3)), r, s
 
 
-EXACT_DIMS = [(18, 18), (12, 12, 12), (5,) * 7]
-
-
 @pytest.mark.parametrize("n", [2, 8])
 def test_blocks_equal_the_inline_loop_under_a_short_switch_interval(cpus, n):
     cases = list(_n20_families())
-    forms_ = [random_sign_form(dims, 4).coeffs for dims in EXACT_DIMS]
     cpus(1)
-    inline = ([rademacher_average(*case) for case in cases],
-              [_exact_sup(coeffs) for coeffs in forms_])
+    inline = [rademacher_average(*case) for case in cases]
     assert _pool.cache_info().currsize == 0
     cpus(n)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        pooled = _within(TIMEOUT, lambda: ([rademacher_average(*case) for case in cases],
-                                           [_exact_sup(coeffs) for coeffs in forms_]))
+        pooled = _within(TIMEOUT, lambda: [rademacher_average(*case) for case in cases])
     finally:
         sys.setswitchinterval(interval)
     assert _pool()._max_workers == min(n, _MAX_WORKERS) - 1
@@ -169,10 +164,8 @@ def test_workers_carry_the_callers_error_state(cpus):
 
 def test_the_pool_is_built_only_for_several_small_blocks(cpus):
     certify(triple221(), ExponentTuple.parse("2,2,1"))
-    # Two top-level blocks of 2^15 elements run one after another, so as
-    # not to hold both at once.
     assert sup_norm(random_sign_form((2,) * 16, 0)).exact
-    # The benchmark's exact certify kinds, one top-level block each.
+    # The benchmark's exact certify kinds.
     for pos, (dims, exps) in enumerate([
         ((8, 8), "1,2"), ((10, 10), "4/3,4/3"), ((11, 11), "1,2"), ((7, 7, 7), "2,2,1"),
         ((5, 5, 5, 5), "8/5,8/5,8/5,8/5"), ((4, 4, 4, 4, 4), "2,2,2,2,1"), ((12, 12), "1,2"),
@@ -182,12 +175,12 @@ def test_the_pool_is_built_only_for_several_small_blocks(cpus):
     assert _pool.cache_info().currsize == 0
 
 
-def test_the_sup_kernel_alone_builds_the_pool(cpus):
-    coeffs = random_sign_form((18, 18), 0).coeffs
-    pooled = _within(TIMEOUT, _exact_sup, coeffs)
-    assert _pool.cache_info().currsize == 1
-    cpus(1)
-    assert _exact_sup(coeffs) == pooled
+def test_the_sup_kernel_never_builds_the_pool(cpus):
+    # Both have several top-level blocks of at most _CHUNK elements, which
+    # the kernel runs one after another in the calling thread.
+    for dims in [(18, 18), (13, 13, 13)]:
+        _exact_sup(random_sign_form(dims, 0).coeffs)
+    assert _pool.cache_info().currsize == 0
 
 
 def _child_average(conn):
@@ -218,8 +211,8 @@ def test_a_forked_child_builds_its_own_pool(cpus):
             proc.kill()
 
 
-@pytest.mark.parametrize("test", [average_memory, exact_memory, optimize_memory],
+@pytest.mark.parametrize("test", [average_memory, optimize_memory],
                          ids=lambda test: test.__name__)
-def test_memory_bounds_hold_at_the_worker_cap(cpus, test):
-    cpus(_MAX_WORKERS)
-    test()
+def test_memory_bounds_hold_at_the_worker_cap(test):
+    # The measuring process reports the CPUs itself.
+    test(workers=_MAX_WORKERS)
