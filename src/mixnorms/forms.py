@@ -215,8 +215,9 @@ def _cpus() -> int:
 @cache
 def _pool():
     """The helper threads of `_map_blocks`, built on first use with one per
-    CPU beyond the caller's, up to _MAX_WORKERS - 1.  The import waits
-    until then: most processes never run a block on them."""
+    CPU beyond the caller's, up to _MAX_WORKERS - 1; each job maps one run
+    of blocks.  The import waits until then: most processes never run a
+    block on them."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(min(_cpus(), _MAX_WORKERS) - 1, thread_name_prefix="mixnorms")
@@ -229,47 +230,37 @@ if hasattr(os, "register_at_fork"):
 
 
 def _map_blocks(fn: Callable, items: Sequence) -> list:
-    """`[fn(x) for x in items]`, with the calls shared between the caller
-    and min(CPUs, _MAX_WORKERS) - 1 helper threads of `_pool` when there
-    are two or more and the process may use more than one CPU.
+    """`[fn(x) for x in items]`, with `items` cut into w = min(CPUs,
+    _MAX_WORKERS, len(items)) runs of consecutive items whose lengths
+    differ by at most one: the caller maps the first run and w - 1 jobs of
+    `_pool` map one other run each, all under the caller's numpy error
+    state, which a helper does not inherit.
 
     The calls must be independent and call only private helpers, which
     the benchmark's tracer does not wrap; numpy's loops release the
-    interpreter lock, so blocks overlap.  Every thread takes the next index
-    from one shared iterator, whose steps the interpreter lock keeps whole,
-    until it runs out, so at most min(CPUs, _MAX_WORKERS) calls run at once
-    and there is one job per helper, not per item.  Each call runs under
-    the caller's numpy error state, which a helper does not inherit.
-    Results come back in item order.  A thread that finds a call has
-    raised takes no further item, and the lowest failing item's exception
-    re-raises: indices are handed out in order, so every item below it has
-    run, and that is the exception the one-thread loop raises."""
-    helpers = min(_cpus(), _MAX_WORKERS, len(items)) - 1 if len(items) > 1 else 0
-    if helpers < 1:
+    interpreter lock, so runs overlap.  No thread reads what another
+    writes: the result is the runs concatenated in order.  The call waits
+    for every job, then re-raises the caller's exception or else the first
+    failing job's in run order, so the lowest failing item's, as the
+    one-thread loop does."""
+    w = min(_cpus(), _MAX_WORKERS, len(items)) if len(items) > 1 else 1
+    if w < 2:
         return list(map(fn, items))
     err = np.geterr()
-    indices = iter(range(len(items)))
-    results = [None] * len(items)
-    errors = {}
 
-    def work():
+    def run(part: Sequence) -> list:
         with np.errstate(**err):
-            for i in indices:
-                if errors:
-                    return
-                try:
-                    results[i] = fn(items[i])
-                except BaseException as exc:  # re-raised below unless a lower item failed
-                    errors[i] = exc
-                    return
+            return list(map(fn, part))
 
-    jobs = [_pool().submit(work) for _ in range(helpers)]
-    work()
+    edges = [k * len(items) // w for k in range(w + 1)]
+    jobs = [_pool().submit(run, items[a:b]) for a, b in zip(edges[1:], edges[2:])]
+    try:
+        results = run(items[:edges[1]])
+    finally:
+        for job in jobs:
+            job.exception()  # waits without raising
     for job in jobs:
-        if not job.cancel():  # a job still queued finds nothing left to do
-            job.result()
-    if errors:
-        raise errors[min(errors)]
+        results += job.result()
     return results
 
 
@@ -519,7 +510,8 @@ def triple221() -> MultilinearForm:
     blocks weighted by (z1 + z2) and (z1 - z2).
 
     Its sup norm is 4 and its (2,2,1) mixed norm is 4*sqrt(2), so it
-    witnesses that the (2,2,1) constant is at least sqrt(2).
+    witnesses that the (2,2,1) constant is at least sqrt(2).  That is only
+    a lower bound: the constant is 2.
     """
     block = littlewood2().coeffs
     c = np.zeros((4, 4, 2))

@@ -11,7 +11,8 @@ short list of definitions call the builtin ``int``: the count check
 `forms._checked_count` and the text parsers, so no count is truncated
 silently.  The README's command block shows one
 ``mixnorms <name>`` line per subcommand in `cli._COMMANDS`, in the
-table's order.
+table's order, and every ``tests/<file>.py::test_<name>`` its highlights
+cite is a test function of that file.
 
 The checks read the syntax trees of ``src/mixnorms/*.py``.  Imports in
 ``__init__.py`` are its public interface, and an import line marked
@@ -184,6 +185,14 @@ def callers(sources: dict[str, str], name: str) -> list[str]:
     return sorted(homes)
 
 
+def missing_tests(text: str, tests: dict[str, str]) -> list[str]:
+    """The ``tests/<file>.py::test_<name>`` citations in `text` that name
+    no top-level function of that file's source in `tests`."""
+    defined = {f"{path}::{node.name}" for path, source in tests.items()
+               for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    return sorted(set(re.findall(r"tests/\w+\.py::test_\w+", text)) - defined)
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
                          ids=lambda p: p.name)
 def test_no_unused_imports(path):
@@ -242,6 +251,15 @@ def test_readme_command_block_lists_every_subcommand():
     assert re.findall(r"^mixnorms (\S+)", block, re.MULTILINE) == list(_COMMANDS)
 
 
+def test_readme_highlights_cite_existing_tests():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    highlights = readme.split("Highlights", 1)[1].split("## ", 1)[0]
+    tests = {f"tests/{p.name}": p.read_text(encoding="utf-8")
+             for p in (ROOT / "tests").glob("test_*.py")}
+    assert "tests/test_paper.py::test_claim_" in highlights
+    assert missing_tests(highlights, tests) == []
+
+
 def test_checks_catch_what_they_are_for():
     leftover = "from .forms import _sign_rows, _sign_vertices\n\nTABLE = _sign_vertices(3)\n"
     assert unused_imports(leftover) == ["_sign_rows (line 1)"]
@@ -283,3 +301,9 @@ def test_checks_catch_what_they_are_for():
                        "def run():\n    def job():\n        return _pool()\n\n"
                        "    return _pool().submit(job)\n"}
     assert callers(sources, "_pool") == ["a.py: run", "a.py: run.job"]
+    tests = {"tests/test_a.py": "def test_claim():\n    pass\n\nclass TestB:\n"
+                                "    def test_inner(self):\n        pass\n"}
+    text = ("Checked by `tests/test_a.py::test_claim`, `tests/test_a.py::test_cliam`, "
+            "`tests/test_a.py::test_inner` and `tests/test_b.py::test_claim`.")
+    assert missing_tests(text, tests) == [
+        "tests/test_a.py::test_cliam", "tests/test_a.py::test_inner", "tests/test_b.py::test_claim"]

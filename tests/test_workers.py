@@ -1,7 +1,8 @@
-"""The block map of `forms._map_blocks`, run by the caller and the helper
-threads of `forms._pool` for `cotype.rademacher_average`: its results
-equal the inline loop's bit for bit, it carries the caller's numpy error
-state, it re-raises the lowest failing block's exception, it runs at most
+"""The block map of `forms._map_blocks`, whose runs of consecutive blocks
+the caller and the helper threads of `forms._pool` map for
+`cotype.rademacher_average`: its results equal the inline loop's bit for
+bit, it carries the caller's numpy error state, it re-raises the lowest
+failing block's exception once no block is running, it runs at most
 `_MAX_WORKERS` blocks at once, only averages with several blocks build the
 pool and the exact sup kernel never does, a forked child gets a fresh one,
 and the memory bounds hold at the cap.
@@ -108,24 +109,30 @@ def test_a_raising_block_reraises_in_the_caller(cpus):
 
 
 def test_the_lowest_failing_block_reraises_though_a_later_one_fails_first(cpus):
-    # Block 0 fails only after block 2 has failed, and no thread takes a
-    # block after seeing a failure.
-    started, failed = [], threading.Event()
+    # Block 0 fails only after block 75 has failed; every count of two or
+    # more runs puts block 75 outside the caller's run.  The call returns
+    # only once every run has stopped.
+    lock, running, failed = threading.Lock(), [0], threading.Event()
 
     def block(x):
-        started.append(x)
-        if x == 0:
-            failed.wait(TIMEOUT)
-            raise ArithmeticError("block 0")
-        if x == 2:
-            failed.set()
-            raise ArithmeticError("block 2")
-        time.sleep(0.01)
-        return x
+        with lock:
+            running[0] += 1
+        try:
+            if x == 0:
+                assert failed.wait(TIMEOUT), "block 75 did not fail"
+                raise ArithmeticError("block 0")
+            if x == 75:
+                failed.set()
+                raise ArithmeticError("block 75")
+            time.sleep(0.001)
+            return x
+        finally:
+            with lock:
+                running[0] -= 1
 
     with pytest.raises(ArithmeticError, match="block 0"):
         _within(TIMEOUT, _map_blocks, block, range(100))
-    assert {0, 1, 2} <= set(started) and len(started) < 100
+    assert running[0] == 0
 
 
 def test_the_caller_and_its_helpers_run_at_most_the_cap_at_once(cpus):
